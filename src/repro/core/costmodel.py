@@ -23,9 +23,10 @@ operand values:
 * scalar set kernels: merged-order event classification (``adva`` /
   ``advb`` / ``both`` / exit variant / drain lengths),
 * scalar merge sort: per-pair take/drain interleave counts,
-* EIS set kernels: a lean per-block walk of the set datapath that
-  counts fused-bundle iterations (not per-instruction simulation),
-* EIS merge sort: a structural walk over the pass/pair recurrence
+* EIS set kernels: a walk over comparison-window ends that counts
+  fused-bundle iterations (loads, stores and the flush tail follow in
+  closed form; no per-instruction simulation),
+* EIS merge sort: a per-pass closed form of the pass/pair recurrence
   (its iteration counts are data-independent).
 
 The coefficients are *calibrated*, not hand-derived: a one-time
@@ -47,6 +48,8 @@ import bisect
 import math
 import os
 from fractions import Fraction
+from itertools import accumulate, islice
+from operator import lt
 
 from .common import LANES
 from .kernels import DEFAULT_UNROLL, run_merge_sort, run_set_operation
@@ -191,22 +194,49 @@ def _predict(calibration, features):
 # result computation (vectorized set algebra)
 # ---------------------------------------------------------------------------
 
+class _Unmodelable(ValueError):
+    """The model cannot vouch for this call; fall back to the ISS.
+
+    Raised for operands outside the kernels' contract (not strictly
+    increasing) and for a walk whose result count or progress does
+    not add up.
+    """
+
+
 #: Below this operand size the numpy call overhead beats C-level sets.
 _NUMPY_CUTOVER = 64
 
 
 def set_result(which, set_a, set_b):
-    """The kernel's result list, computed without the processor."""
+    """The kernel's result list, computed without the processor.
+
+    Raises :class:`_Unmodelable` unless both operands are strictly
+    increasing — the kernels' contract, outside which only the ISS
+    knows the output.  Unions concatenate, sort and drop repeats:
+    NumPy 2's hash-based ``union1d`` is over 10x slower at serving
+    sizes.
+    """
     if _np is not None and len(set_a) + len(set_b) >= _NUMPY_CUTOVER:
         a = _np.asarray(set_a, dtype=_np.int64)
         b = _np.asarray(set_b, dtype=_np.int64)
+        if (a[1:] <= a[:-1]).any() or (b[1:] <= b[:-1]).any():
+            raise _Unmodelable("set operands must be strictly increasing")
         if which == "intersection":
             out = _np.intersect1d(a, b, assume_unique=True)
         elif which == "union":
-            out = _np.union1d(a, b)
+            out = _np.concatenate((a, b))
+            out.sort()
+            keep = _np.ones(out.size, dtype=bool)
+            _np.not_equal(out[1:], out[:-1], out=keep[1:])
+            out = out[keep]
         else:
             out = _np.setdiff1d(a, b, assume_unique=True)
         return out.tolist()
+    set_a = _operand_list(set_a)
+    set_b = _operand_list(set_b)
+    if not (all(map(lt, set_a, islice(set_a, 1, None)))
+            and all(map(lt, set_b, islice(set_b, 1, None)))):
+        raise _Unmodelable("set operands must be strictly increasing")
     sa, sb = set(set_a), set(set_b)
     if which == "intersection":
         return sorted(sa & sb)
@@ -218,7 +248,7 @@ def set_result(which, set_a, set_b):
 def sort_result(values):
     if _np is not None and len(values) >= _NUMPY_CUTOVER:
         return _np.sort(_np.asarray(values, dtype=_np.int64)).tolist()
-    return sorted(values)
+    return sorted(_operand_list(values))
 
 
 # ---------------------------------------------------------------------------
@@ -340,191 +370,133 @@ def scalar_sort_features(values):
 
 
 # ---------------------------------------------------------------------------
-# feature extraction: EIS set kernels (lean datapath walk)
+# feature extraction: EIS set kernels (window-end walk)
 # ---------------------------------------------------------------------------
-
-class _WalkError(Exception):
-    """The lean walk hit a state it cannot model; fall back to ISS."""
-
 
 _SET_WALK_OPS = {"intersection": 0, "union": 1, "difference": 2}
 
 
 def eis_set_features(which, set_a, set_b, partial_load,
                      unroll=DEFAULT_UNROLL):
-    """[1, k, wraps, block_loads, block_stores, flush_lanes, result].
+    """``([1, k, wraps, block_loads, block_stores, flush_lanes], total)``.
 
     ``k`` is the number of ``store_sop`` bundles the kernel executes
     (the single data-dependent quantity of the Figure 11 loop), and
     ``wraps`` the resulting back-jump count of the ``unroll``-deep
     loop body.  The trailing features cover the 128-bit loads/stores
     and the sub-block flush tail so configurations with non-zero
-    memory wait states stay in-model.
+    memory wait states stay in-model; ``total`` is the result count.
 
-    The walk mirrors :class:`repro.core.datapath.SetDatapath` op for
-    op (ST, SOP, ST_S, LDP, LD in the fused-bundle order — identical
-    on 1- and 2-LSU cores), but exploits that the comparison window
-    and the Load stage always hold *contiguous slices* of the sorted,
-    duplicate-free operands: the entire datapath state reduces to a
-    handful of integers per side (window start/valid, staged load
-    count) plus FIFO/store occupancy, and each SOP step to a few
-    comparisons against the threshold ``min(max A lane, max B lane)``
-    (:mod:`repro.core.sop` semantics) — no window vectors, no sentinel
-    padding.
+    Operands must be strictly increasing.  The comparison windows then
+    hold contiguous slices of them, and every SOP step of
+    :class:`repro.core.datapath.SetDatapath` is a value cut: it
+    consumes whole the window with the smaller maximum (both on a tie)
+    and the other window up to that maximum, except that a union step
+    whose result would overflow the 4-lane result state stops at its
+    fourth distinct value.  Step result counts come from ``common``,
+    the prefix count of A elements also in B.
+
+    Only ``k`` needs a walk, and it walks window ends rather than
+    datapath ops.  The Load stage holds one aligned 128-bit block per
+    operand and fetches the next as soon as the window has taken all
+    of it, so after every iteration but the first a window end is
+    refilled to ``min(start + 4, (end | 3) + 1, len)`` — each
+    iteration under partial loading, only once the window drains
+    otherwise.  Iteration 1 has nothing staged yet, so iteration 2
+    stalls if it finds a window drained with lanes pending.  That is
+    the only stall: a step emits at most 4 lanes and the FIFO passes
+    a full block to the store stage every iteration, so it holds at
+    most 3 lanes after each one.  Hence the closed forms: block loads
+    ``ceil(|A|/4) + ceil(|B|/4)``, block stores ``total // 4`` and
+    flush lanes ``total % 4``; the loop ends with one idle iteration
+    after the last step that had results, and once an operand is
+    exhausted the other drains one window per iteration, counted
+    without walking.
     """
     op = _SET_WALK_OPS[which]
+    union = op == 1
     len_a = len(set_a)
     len_b = len(set_b)
-    aws = bws = 0  # window start: element index into the operand
-    av = bv = 0  # valid (unconsumed) window lanes
-    la = lb = 0  # elements staged in the Load state
-    result_cnt = fifo_cnt = store_cnt = 0
-    stored = 0
-    block_loads = block_stores = 0
-    # kernel prologue: sop_init, ld_a, ld_b, ldp_a, ldp_b
-    if len_a:
-        la = LANES if len_a >= LANES else len_a
-        block_loads += 1
-        av, la = la, 0
-    if len_b:
-        lb = LANES if len_b >= LANES else len_b
-        block_loads += 1
-        bv, lb = lb, 0
+    members = set(set_b)
+    common = list(accumulate(map(members.__contains__, set_a),
+                             initial=0))
+    bisect_right = bisect.bisect_right
+    a = b = a0 = b0 = 0  # window starts; a0/b0: where the last step began
+    end_a = LANES if len_a > LANES else len_a  # window ends (exclusive)
+    end_b = LANES if len_b > LANES else len_b
     iterations = 0
-    limit = 4 * (len_a + len_b) + 64
-    while True:
-        # ST: retire a completed 128-bit store block
-        if store_cnt == LANES:
-            stored += LANES
-            store_cnt = 0
-            block_stores += 1
-        # SOP: stall on FIFO pressure or an empty-but-pending window
-        if result_cnt:
-            raise _WalkError("SOP before ST_S drained results")
-        if fifo_cnt <= 3 * LANES \
-                and not (av == 0 and aws < len_a) \
-                and not (bv == 0 and bws < len_b) \
-                and (av or bv):
-            if av and bv:
-                max_a = set_a[aws + av - 1]
-                max_b = set_b[bws + bv - 1]
-                if max_a <= max_b:
-                    threshold = max_a
-                    ca = av
-                    cb = 0
-                    while cb < bv and set_b[bws + cb] <= threshold:
-                        cb += 1
-                else:
-                    threshold = max_b
-                    cb = bv
-                    ca = 0
-                    while ca < av and set_a[aws + ca] <= threshold:
-                        ca += 1
-            elif av:  # B exhausted: drain A
-                ca, cb = av, 0
-            else:  # A exhausted: drain B
-                ca, cb = 0, bv
-            overlap = 0
-            if ca and cb:
-                i, j = aws, bws
-                end_a, end_b = aws + ca, bws + cb
-                while i < end_a and j < end_b:
-                    x = set_a[i]
-                    y = set_b[j]
-                    if x < y:
-                        i += 1
-                    elif y < x:
-                        j += 1
-                    else:
-                        overlap += 1
-                        i += 1
-                        j += 1
-            if op == 0:
-                result_cnt = overlap
-            elif op == 2:
-                result_cnt = ca - overlap
-            else:
-                result_cnt = ca + cb - overlap
-                if result_cnt > LANES:
-                    # Result states are 4 wide: cut consumption back
-                    # to the fourth distinct merged value (value-
-                    # boundary cut keeps the both-copies invariant).
-                    i, j = aws, bws
-                    end_a, end_b = aws + ca, bws + cb
-                    cut = 0
-                    for _ in range(LANES):
-                        x = set_a[i] if i < end_a else None
-                        y = set_b[j] if j < end_b else None
-                        if y is None or (x is not None and x < y):
-                            cut = x
-                            i += 1
-                        elif x is None or y < x:
-                            cut = y
-                            j += 1
-                        else:
-                            cut = x
-                            i += 1
-                            j += 1
-                    ca = 0
-                    while ca < av and set_a[aws + ca] <= cut:
-                        ca += 1
-                    cb = 0
-                    while cb < bv and set_b[bws + cb] <= cut:
-                        cb += 1
-                    result_cnt = LANES
-            aws += ca
-            av -= ca
-            bws += cb
-            bv -= cb
+    while a < len_a and b < len_b:
+        a0 = a
+        b0 = b
+        max_a = set_a[end_a - 1]
+        max_b = set_b[end_b - 1]
+        if max_a <= max_b:
+            b = bisect_right(set_b, max_a, b, end_b)
+            a = end_a
+        else:
+            a = bisect_right(set_a, max_b, a, end_a)
+            b = end_b
+        if union:
+            excess = a - a0 + b - b0 - common[a] + common[a0] - LANES
+            if excess > 0:
+                # giving values back only undoes progress when the
+                # operands are not strictly increasing
+                if iterations > len_a + len_b:
+                    raise _Unmodelable("set walk failed to converge")
+                # give back the largest distinct values until 4 remain
+                while excess:
+                    x = set_a[a - 1]
+                    y = set_b[b - 1]
+                    if x >= y:
+                        a -= 1
+                    if y >= x:
+                        b -= 1
+                    excess -= 1
         iterations += 1
-        if not (av or bv or result_cnt or store_cnt
-                or fifo_cnt >= LANES
-                or aws + av < len_a or bws + bv < len_b):
-            break
-        if iterations > limit:
-            raise _WalkError("set walk failed to converge")
-        # ST_S: results -> FIFO, FIFO -> store stage when it is free
-        if result_cnt:
-            fifo_cnt += result_cnt
-            result_cnt = 0
-        if store_cnt == 0 and fifo_cnt >= LANES:
-            fifo_cnt -= LANES
-            store_cnt = LANES
-        # LDP: refill windows from the Load state (all consumed lanes
-        # with partial loading, whole drained windows without)
-        want = LANES - av if partial_load \
-            else (LANES if av == 0 else 0)
-        if want and la:
-            take = want if want < la else la
-            av += take
-            la -= take
-        want = LANES - bv if partial_load \
-            else (LANES if bv == 0 else 0)
-        if want and lb:
-            take = want if want < lb else lb
-            bv += take
-            lb -= take
-        # LD: stage the next 128-bit block once the Load state drains
-        if not la:
-            staged = aws + av
-            if staged < len_a:
-                remaining = len_a - staged
-                la = LANES if remaining >= LANES else remaining
-                block_loads += 1
-        if not lb:
-            staged = bws + bv
-            if staged < len_b:
-                remaining = len_b - staged
-                lb = LANES if remaining >= LANES else remaining
-                block_loads += 1
-    flush_lanes = store_cnt + fifo_cnt
-    total = stored + flush_lanes
-    return [1, iterations, (iterations - 1) // unroll,
-            block_loads, block_stores, flush_lanes], total
+        if iterations == 1:
+            if not (a == end_a < len_a or b == end_b < len_b):
+                continue  # nothing staged to refill from yet
+            iterations = 2  # iteration 2 stalls on the drained window
+        # refill: end = min(start, end rounded down to a block) + 4
+        if partial_load or a == end_a:
+            end = end_a & -LANES
+            if a < end:
+                end = a
+            end_a = end + LANES if end + LANES < len_a else len_a
+        if partial_load or b == end_b:
+            end = end_b & -LANES
+            if b < end:
+                end = b
+            end_b = end + LANES if end + LANES < len_b else len_b
+    overlap = common[a] - common[a0]
+    if a < len_a:  # B exhausted: A drains
+        end, length = end_a, len_a
+        last = op != 0
+    elif b < len_b:  # A exhausted: B drains
+        end, length = end_b, len_b
+        last = union
+    else:
+        length = 0
+        last = (overlap, a - a0 + b - b0 - overlap,
+                a - a0 - overlap)[op]
+    if length:
+        if not iterations and length > LANES:
+            iterations = 1  # an operand was empty: iteration 2 stalls
+        # the current window, then one per remaining aligned block
+        iterations += 1
+        if end < length:
+            iterations += -(-length // LANES) - end // LANES
+    if last or not iterations:
+        iterations += 1  # the idle iteration that ends the loop
+    overlap = common[len_a]
+    total = (overlap, len_a + len_b - overlap, len_a - overlap)[op]
+    block_loads = -(-len_a // LANES) - (-len_b // LANES)
+    return [1, iterations, (iterations - 1) // unroll, block_loads,
+            total // LANES, total % LANES], total
 
 
 # ---------------------------------------------------------------------------
-# feature extraction: EIS merge sort (structural walk)
+# feature extraction: EIS merge sort (closed form)
 # ---------------------------------------------------------------------------
 
 def eis_sort_features(length, presort_unroll=16, merge_unroll=16):
@@ -535,7 +507,10 @@ def eis_sort_features(length, presort_unroll=16, merge_unroll=16):
     MLDSEL and fires the merge network every iteration, so each pair
     of runs takes exactly ``target + 2`` fused-bundle iterations where
     ``target`` is the pair's 128-bit block count — the cycle count is
-    a pure function of the (padded) input length.
+    a pure function of the (padded) input length.  A pass over runs of
+    ``run`` words merges ``padded // (2 * run)`` full pairs of
+    ``2 * run / 4`` blocks plus at most one shorter remainder pair, and
+    its targets sum to the block count.
     """
     padded = length + (-length) % LANES
     blocks = padded // LANES
@@ -543,17 +518,16 @@ def eis_sort_features(length, presort_unroll=16, merge_unroll=16):
     features = [1, presort, (presort - 1) // presort_unroll, 0, 0, 0, 0]
     run = LANES
     while run < padded:
+        span = 2 * run
+        pairs, remainder = divmod(padded, span)
+        features[6] += pairs * ((span // LANES + 1) // merge_unroll)
+        if remainder:
+            pairs += 1
+            features[6] += (remainder // LANES + 1) // merge_unroll
         features[3] += 1
-        position = 0
-        while position < padded:
-            end = min(position + 2 * run, padded)
-            target = (end - position) // LANES
-            iterations = target + 2
-            features[4] += 1
-            features[5] += target
-            features[6] += (iterations - 1) // merge_unroll
-            position = end
-        run *= 2
+        features[4] += pairs
+        features[5] += blocks
+        run = span
     return features
 
 
@@ -666,7 +640,10 @@ class CostModel:
 
         Operands may be plain lists or NumPy arrays (the columnar
         storage layer hands over ndarray scan results directly); the
-        kernel walk, features and calibration always see lists.
+        kernel walk, features and calibration always see lists.  Both
+        must be strictly increasing, the kernels' contract: anything
+        else (an ``In`` leaf with repeated probe values, say) runs on
+        the ISS, whose output is then the answer.
         """
         set_a = _operand_list(set_a)
         set_b = _operand_list(set_b)
@@ -680,11 +657,11 @@ class CostModel:
                                          unroll=unroll,
                                          validate_input=False)
 
-            def features(a, b):
+            def features(a, b, values):
                 computed, total = eis_set_features(which, a, b, partial,
                                                    unroll)
-                if total != len(set_result(which, a, b)):
-                    raise _WalkError("walk/result count mismatch")
+                if total != len(values):
+                    raise _Unmodelable("walk/result count mismatch")
                 return computed
         else:
             kind = ("scalar_set", which)
@@ -693,51 +670,54 @@ class CostModel:
                 return run_scalar_set_operation(proc, which, a, b,
                                                 validate_input=False)
 
-            def features(a, b):
+            def features(a, b, _values):
                 return scalar_set_features(which, a, b)
 
-        def result(a, b):
-            return set_result(which, a, b)
+        def model(a, b):
+            # set_result vets the operands before any feature walk
+            values = set_result(which, a, b)
+            return features(a, b, values), values
 
-        return self._execute(processor, kind, runner, features, result,
+        return self._execute(processor, kind, runner, model,
                              _set_probes(), (set_a, set_b))
 
     def merge_sort(self, processor, values):
         """Model one sort kernel; ``(values, cycles, source)``.
 
         *values* may be a list or a NumPy array (see
-        :meth:`set_operation`).
+        :meth:`set_operation`); the EIS sort sorts an array without a
+        list round trip, since its features depend on the length only.
         """
-        values = _operand_list(values)
         extension = _eis_extension(processor)
         if extension is not None:
             kind = ("eis_sort",)
 
             def runner(proc, data):
-                return run_merge_sort(proc, data, validate_input=False)
+                return run_merge_sort(proc, _operand_list(data),
+                                      validate_input=False)
 
-            def features(data):
-                return eis_sort_features(len(data))
+            def model(data):
+                return eis_sort_features(len(data)), sort_result(data)
         else:
-            if not values:
+            if not len(values):
                 # mirror run_scalar_merge_sort's degenerate empty run
                 return [], 0, "costmodel"
+            values = _operand_list(values)
             kind = ("scalar_sort",)
 
             def runner(proc, data):
                 return run_scalar_merge_sort(proc, data,
                                              validate_input=False)
 
-            def features(data):
-                return scalar_sort_features(data)
+            def model(data):
+                return scalar_sort_features(data), sort_result(data)
 
         probes, validation = _sort_probes()
         if extension is None:
             probes = [p for p in probes if p[0]]
             validation = [p for p in validation if p[0]]
-        return self._execute(processor, kind, runner, features,
-                             sort_result, (probes, validation),
-                             (values,))
+        return self._execute(processor, kind, runner, model,
+                             (probes, validation), (values,))
 
     def stats(self):
         """Counter snapshot (``costmodel.*`` in engine telemetry)."""
@@ -745,28 +725,26 @@ class CostModel:
 
     # -- internals -----------------------------------------------------------
 
-    def _execute(self, processor, kind, runner, feature_fn, result_fn,
-                 probe_sets, args):
-        coefficients = None
+    def _execute(self, processor, kind, runner, model, probe_sets, args):
+        """Serve one call: ``model(*args)`` gives ``(features, values)``
+        or raises :class:`_Unmodelable`; anything the calibrated model
+        cannot price runs on the ISS and counts as a fallback."""
+        cycles = None
         if self.enabled and getattr(processor, "_fault_hook",
                                     None) is None:
             coefficients = self._calibration(processor, kind, runner,
-                                             feature_fn, probe_sets)
-        if coefficients is None:
-            values, run = runner(processor, *args)
-            self.counters["fallbacks"] += 1
-            return values, run.cycles, "iss"
-        try:
-            features = feature_fn(*args)
-        except _WalkError:
-            features = None
-        cycles = _predict(coefficients, features) \
-            if features is not None else None
+                                             model, probe_sets)
+            if coefficients is not None:
+                try:
+                    features, values = model(*args)
+                except _Unmodelable:
+                    pass
+                else:
+                    cycles = _predict(coefficients, features)
         if cycles is None:
             values, run = runner(processor, *args)
             self.counters["fallbacks"] += 1
             return values, run.cycles, "iss"
-        values = result_fn(*args)
         if self.verify:
             iss_values, iss_run = runner(processor, *args)
             if iss_values != values or iss_run.cycles != cycles:
@@ -776,15 +754,14 @@ class CostModel:
         self.counters["hits"] += 1
         return values, cycles, "costmodel"
 
-    def _calibration(self, processor, kind, runner, feature_fn,
-                     probe_sets):
+    def _calibration(self, processor, kind, runner, model, probe_sets):
         signature = config_signature(processor)
         if signature is None:
             return None
         key = (signature, kind)
         if key in _CALIBRATIONS:
             return _CALIBRATIONS[key]
-        coefficients = self._calibrate(processor, runner, feature_fn,
+        coefficients = self._calibrate(processor, runner, model,
                                        probe_sets)
         _CALIBRATIONS[key] = coefficients
         if coefficients is None:
@@ -793,14 +770,14 @@ class CostModel:
             self.counters["calibrations"] += 1
         return coefficients
 
-    def _calibrate(self, processor, runner, feature_fn, probe_sets):
+    def _calibrate(self, processor, runner, model, probe_sets):
         """Fit and differentially validate one (config, kernel) model."""
         probes, validation = probe_sets
         rows = []
         cycles = []
         try:
             for args in probes:
-                rows.append(feature_fn(*args))
+                rows.append(model(*args)[0])
                 _values, run = runner(processor, *args)
                 cycles.append(run.cycles)
             solution = solve_exact(rows, cycles)
@@ -808,7 +785,7 @@ class CostModel:
                 return None
             coefficients = _scale_coefficients(solution)
             for args in validation:
-                predicted = _predict(coefficients, feature_fn(*args))
+                predicted = _predict(coefficients, model(*args)[0])
                 _values, run = runner(processor, *args)
                 if predicted != run.cycles:
                     return None

@@ -22,6 +22,11 @@ Two execution paths produce those cycle counts:
 ``costmodel``) so mixed-path runs stay auditable.
 """
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
+
 from ..core.kernels import run_merge_sort, run_set_operation
 from ..core.scalar_kernels import (run_scalar_merge_sort,
                                    run_scalar_set_operation)
@@ -153,14 +158,18 @@ class QueryExecutor:
         whole rows — the standard key/pointer packing used with
         hardware sorters.  Requires ``row_count <= 4096`` and keys
         below ``2**19`` (dictionary-encode larger domains first).
+
+        Columnar tables pack the RID list as one int64 array, which
+        the sort hands back as the sorted list: one list-to-array and
+        one array-to-list pass.
         """
         stats = QueryStats()
         if len(rids) == 0:
             return [], stats
-        packed = self.pack_rids(table, rids, key_column)
-        sorted_packed, stats = self.sort_packed(packed, stats)
-        ordered = [value & ((1 << RID_BITS) - 1)
-                   for value in sorted_packed]
+        sorted_packed, stats = self.sort_packed(
+            self._pack(table, rids, key_column), stats)
+        mask = (1 << RID_BITS) - 1
+        ordered = [value & mask for value in sorted_packed]
         if descending:
             ordered.reverse()
         return ordered, stats
@@ -172,6 +181,12 @@ class QueryExecutor:
         shard and sorts the pieces in parallel, so packing and sorting
         are separate steps.
         """
+        packed = self._pack(table, rids, key_column)
+        return packed if isinstance(packed, list) else packed.tolist()
+
+    def _pack(self, table, rids, key_column):
+        """Packed words: a list for row tables, an int64 array for
+        columnar ones."""
         if table.rid_limit() > (1 << RID_BITS):
             raise ValueError(
                 "ORDER BY packing supports up to %d rows; shard or "
@@ -179,12 +194,13 @@ class QueryExecutor:
         shifted = self._shifted_keys(table, key_column)
         if isinstance(shifted, list):
             return [shifted[rid] | rid for rid in rids]
-        # ndarray path (columnar tables): since rid < 2**RID_BITS and
-        # the shifted key is a multiple of 2**RID_BITS, | equals +.
-        return (shifted.take(list(rids)) + list(rids)).tolist()
+        # rid < 2**RID_BITS and the shifted key is a multiple of it
+        rid_array = _np.asarray(rids, dtype=_np.int64)
+        return shifted[rid_array] | rid_array
 
     def sort_packed(self, packed, stats=None):
-        """Cycle-accounted merge sort of pre-packed key/RID words."""
+        """Cycle-accounted merge sort of pre-packed key/RID words
+        (a list, or an int64 array from a columnar table)."""
         if stats is None:
             stats = QueryStats()
         if len(packed) == 0:
@@ -195,6 +211,8 @@ class QueryExecutor:
                 self.processor, packed)
             stats.add_cycles(cycles, source)
         else:
+            if not isinstance(packed, list):
+                packed = packed.tolist()
             sorted_packed, run_result = self._sort(packed)
             stats.add_run(run_result, "iss")
         return sorted_packed, stats

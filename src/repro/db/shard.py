@@ -1029,16 +1029,20 @@ class ShardedEngine:
         return values
 
     def clear_caches(self):
+        """Forget cached answers: coordinator, shard-engine and
+        cross-batch shard caches.
+
+        Layout state stays — partitions, frozen routers, replica
+        placements, RID owners and the table pins their ``id()`` keys
+        rely on — so a cold round serves the same shards instead of
+        re-partitioning (which, after deltas under a range
+        partitioner, could move rows to other shards).
+        """
         self.coordinator.clear_caches()
         for engine in self.shard_engines:
             engine.clear_caches()
         for cache in self._shard_cache:
             cache.clear()
-        self._partitions.clear()
-        self._pinned_tables.clear()
-        self._replica_placements.clear()
-        self._routers.clear()
-        self._rid_owners.clear()
 
     def __repr__(self):
         return "<ShardedEngine %s x%d %s cost_model=%s replicas=%d>" % (

@@ -4,25 +4,30 @@ The contract under test: for every builtin set/sort kernel on every
 catalog configuration, the cost model returns the exact result list
 and the exact ISS cycle count — not an approximation.  Every trial
 here runs with ``verify=True``, which shadows each prediction with a
-real ISS run and counts any divergence as a mismatch.
+real ISS run and counts any divergence as a mismatch.  The feature
+walks are additionally swept against the reference walks in
+:mod:`.costmodel_reference`.
 """
 
 import random
 
 import pytest
 
-from repro.configs.catalog import build_processor
+from repro.core import costmodel
 from repro.core.costmodel import (CostModel, calibration_cache_size,
                                   clear_calibration_cache,
                                   config_signature, default_cost_model,
-                                  eis_set_features, set_result,
-                                  solve_exact)
+                                  eis_set_features, eis_sort_features,
+                                  set_result, solve_exact)
 from repro.cpu import CacheConfig, CoreConfig, Processor
 from repro.db import QueryExecutor, QueryStats
 from repro.workloads.sets import generate_set_pair
 from repro.workloads.sorting import random_values
 
+from . import costmodel_reference as reference
+
 SET_OPS = ("intersection", "union", "difference")
+UNROLLS = (1, 2, 8, 16, 32)
 
 
 def _trial_pairs(rng, trials):
@@ -88,6 +93,107 @@ class TestPrimitives:
         assert config_signature(cached) is None
 
 
+def _pair(rng, size_a, size_b, selectivity, spread=1.0):
+    """Strictly increasing operands over ``spread`` x the values they
+    need (1.0: the union fills a dense value range)."""
+    common = round(selectivity * min(size_a, size_b))
+    needed = max(size_a + size_b - common, 1)
+    return generate_set_pair(size_a, size_b, selectivity=selectivity,
+                             seed=rng.randrange(10 ** 6),
+                             max_value=int(needed * spread))
+
+
+def _sweep_pairs():
+    """Seeded operand pairs, sizes 0-8192, in every shape the walks
+    distinguish: empty, single-block and non-multiple-of-4 sizes,
+    dense and sparse interleavings at selectivity 0-1, lopsided
+    (1:50), disjoint, nested, identical and large."""
+    rng = random.Random(0x5EED)
+    pairs = [([], [])]
+    for size in (1, 4, 5, 9, 4099):
+        values = sorted(rng.sample(range(3 * size), size))
+        pairs += [([], values), (values, [])]
+    for size_a in range(1, 10):
+        for size_b in (1, 3, 4, 5, 8, 9, 13):
+            pairs.append(_pair(rng, size_a, size_b, rng.random(),
+                               rng.choice((1.0, 1.5, 4.0))))
+    for _ in range(40):
+        pairs.append(_pair(rng, rng.randrange(1, 700),
+                           rng.randrange(1, 700), rng.random(),
+                           rng.choice((1.0, 1.2, 2.0, 8.0, 50.0))))
+    for small, large in ((3, 150), (40, 2000), (163, 8150)):
+        for selectivity in (0.0, 0.5, 1.0):
+            a, b = _pair(rng, small, large, selectivity,
+                         rng.choice((1.0, 3.0)))
+            pairs += [(a, b), (b, a)]
+    for size in (1, 4, 5, 1023, 4096):
+        a, b = _pair(rng, size, size, 0.0, 1.0)  # disjoint, interleaved
+        pairs += [(a, b), (a, a)]  # ... and identical
+        low, high = list(range(size)), list(range(size, 2 * size + 3))
+        pairs += [(low, high), (high, low)]  # disjoint, separated
+        subset = sorted(rng.sample(a, max(size // 3, 1)))
+        pairs += [(a, subset), (subset, a)]  # nested
+    for size_a, size_b, selectivity, spread in (
+            (8192, 8192, 0.5, 1.0), (8191, 6001, 0.1, 3.0),
+            (5000, 8192, 0.9, 1.2)):
+        pairs.append(_pair(rng, size_a, size_b, selectivity, spread))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def set_sweep():
+    """``(which, partial, a, b, {unroll: reference features})``."""
+    cases = []
+    for a, b in _sweep_pairs():
+        for which in SET_OPS:
+            for partial in (True, False):
+                cases.append((which, partial, a, b, {
+                    unroll: reference.eis_set_features(which, a, b,
+                                                       partial, unroll)
+                    for unroll in UNROLLS}))
+    return cases
+
+
+class TestFeatureSweep:
+    """The closed-form/window-end features equal the reference walks."""
+
+    @pytest.mark.parametrize("numpy_path", (True, False),
+                             ids=("numpy", "no-numpy"))
+    def test_set_features_match_reference_walk(self, set_sweep,
+                                               numpy_path, monkeypatch):
+        if not numpy_path:
+            monkeypatch.setattr(costmodel, "_np", None)
+        for which, partial, a, b, expected in set_sweep:
+            for unroll, (features, total) in expected.items():
+                assert eis_set_features(which, a, b, partial, unroll) \
+                    == (features, total), (which, partial, unroll,
+                                           len(a), len(b))
+            assert total == len(set_result(which, a, b))
+
+    def test_sort_features_match_reference_pair_loop(self):
+        unroll_pairs = ((16, 16), (1, 1), (4, 32), (7, 3))
+        expected = {}
+        for length in range(9001):
+            # the pair loop sees the length only through its padding
+            padded = length + (-length) % 4
+            if padded not in expected:
+                passes = reference.sort_pair_targets(length)
+                expected[padded] = [
+                    reference.eis_sort_features(length, presort, merge,
+                                                passes)
+                    for presort, merge in unroll_pairs]
+            for (presort, merge), features in zip(unroll_pairs,
+                                                  expected[padded]):
+                assert eis_sort_features(length, presort, merge) \
+                    == features, (length, presort, merge)
+
+    def test_non_increasing_operands_are_refused(self):
+        for a, b in (([1, 1, 2], [2, 3]), ([1, 2], [3, 3]),
+                     ([2, 1], [1, 2]), (list(range(70)) + [69], [1])):
+            with pytest.raises(ValueError):
+                set_result("union", a, b)
+
+
 class TestDifferentialExactness:
     """Every kernel, every catalog config: predicted == simulated."""
 
@@ -105,6 +211,21 @@ class TestDifferentialExactness:
         assert stats["mismatches"] == 0
         assert stats["fallbacks"] == 0
         assert stats["calibration_failures"] == 0
+
+    def test_eis_set_kernels_at_4k_elements(self, all_eis_processors):
+        model = CostModel(verify=True)
+        rng = random.Random(41)
+        pairs = [_pair(rng, 4096, 4500, 0.3, 2.0),
+                 _pair(rng, 4100, 90, 0.5, 1.0)]
+        for (name, partial), processor in all_eis_processors.items():
+            for which in SET_OPS:
+                for a, b in pairs:
+                    values, _cycles, source = model.set_operation(
+                        processor, which, a, b)
+                    assert source == "costmodel", (name, partial, which)
+        stats = model.stats()
+        assert stats["mismatches"] == 0
+        assert stats["fallbacks"] == 0
 
     @pytest.mark.parametrize("which", SET_OPS)
     def test_scalar_set_kernels(self, mini_108, dba_1lsu, which):

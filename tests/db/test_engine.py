@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.costmodel import CostModel
 from repro.db import (And, Eq, In, Or, Query, QueryEngine, Range,
                       Table, signature)
 
@@ -138,6 +139,46 @@ class TestEngine:
             assert parallel_result.rows == serial_result.rows
             assert parallel_result.stats.cycles \
                 == serial_result.stats.cycles
+
+    @pytest.mark.parametrize("storage", ("row", "columnar"))
+    @pytest.mark.parametrize("core", ("eis_2lsu_partial", "dba_1lsu"))
+    def test_repeated_in_probes_fall_back_to_iss(self, request, table,
+                                                 storage, core):
+        """``In`` with repeated probe values scans duplicate RIDs (by
+        design), outside the kernels' strictly-increasing contract:
+        every set op over such a list runs on the ISS, on purpose.
+        The scalar kernels have no result-count check to fall back on,
+        so without the operand check they returned wrong RIDs."""
+        processor = request.getfixturevalue(core)
+        if storage == "columnar":
+            pytest.importorskip("numpy")
+            from repro.db import ColumnarTable
+            table = ColumnarTable("orders", {
+                name: table.column(name)
+                for name in ("status", "region", "price")})
+            for column in ("status", "region", "price"):
+                table.create_index(column)
+        predicates = [In("region", (1, 1, 2)) & Range("price", 100, 700),
+                      In("region", (3, 2, 3)) | Eq("status", 1),
+                      Eq("status", 2) - In("region", (4, 4)),
+                      In("region", (0, 5, 0)) - Range("price", 0, 300)]
+        queries = [Query(table, predicate) for predicate in predicates]
+        queries.append(Query(table, predicates[0], order_by="price"))
+        fast = make_engine(processor, cost_model=CostModel())
+        slow = make_engine(processor, cost_model=False)
+        results = fast.execute_batch(queries)
+        for result, expected in zip(results,
+                                    slow.execute_batch(queries)):
+            assert result.rids == expected.rids
+            assert result.stats.cycles == expected.stats.cycles
+        scanned = predicates[0].left.scan(table)
+        assert len(set(scanned)) < len(scanned)
+        snapshot = fast.metrics_snapshot()
+        # one per set op with a duplicate operand; CSE serves the
+        # ORDER BY query's WHERE, and its sort is modeled
+        assert snapshot["costmodel.fallbacks"] == len(predicates)
+        assert snapshot["costmodel.mismatches"] == 0
+        assert results[-1].stats.cycles_by_source["costmodel"] > 0
 
     def test_missing_index_is_reported(self, eis_2lsu_partial):
         bare = Table("bare", {"a": [1, 2, 3]})

@@ -332,12 +332,55 @@ class TestShardCache:
         engine = ShardedEngine(shards=2)
         query = Query(table, Eq("kind", 2))
         engine.execute(query)
+        shards = list(engine.shards_for(table))
         engine.clear_caches()
+        # answers are forgotten, the layout is not
+        assert all(after is before for after, before
+                   in zip(engine.shards_for(table), shards))
         engine.execute(Query(table, Eq("kind", 2)))
         snapshot = engine.metrics_snapshot()
         hits = sum(snapshot["db.shard.%d.cache.hits" % position]
                    for position in range(2))
         assert hits == 0
+
+    def test_clear_caches_keeps_layout_after_deltas(self):
+        """A range partition's frozen bounds survive the clear: fresh
+        quantiles over the skewed post-delta scores would move rows."""
+        pytest.importorskip("numpy")
+        from repro.db import ColumnarTable, DeltaBatch
+        source = build_table(rows=120)
+        table = ColumnarTable("events", {
+            name: source.column(name) for name in ("kind", "zone",
+                                                   "score")})
+        for column in ("kind", "zone", "score"):
+            table.create_index(column)
+        engine = ShardedEngine(shards=3, partitioner="range",
+                               partition_column="score")
+        queries = [Query(table, shape) for shape in TREE_SHAPES]
+        engine.execute_batch(queries)
+
+        def high_scores(count):
+            return DeltaBatch(inserts={"kind": [1] * count,
+                                       "zone": [3] * count,
+                                       "score": [499] * count},
+                              delete_rids=table.all_rids()[:count])
+
+        engine.apply_delta(table, high_scores(40))
+        shards = list(engine.shards_for(table))
+        held = [shard.held_rids() for shard in shards]
+        engine.clear_caches()
+        assert all(after is before for after, before
+                   in zip(engine.shards_for(table), shards))
+        assert [shard.held_rids() for shard in shards] == held
+        expected = QueryEngine().execute_batch(queries)
+        assert [result.rids for result in engine.execute_batch(queries)] \
+            == [result.rids for result in expected]
+        engine.apply_delta(table, high_scores(10))
+        assert sorted(rid for shard in engine.shards_for(table)
+                      for rid in shard.held_rids()) == table.all_rids()
+        expected = QueryEngine().execute_batch(queries)
+        assert [result.rids for result in engine.execute_batch(queries)] \
+            == [result.rids for result in expected]
 
     def test_cache_disabled_under_fault_injection(self, table):
         from repro.faults.db import DbFaultInjector
