@@ -56,14 +56,18 @@ Fault tolerance (docs/SHARDING.md):
 
 Process-parallel mode (``execute_batch(..., workers=N)``) scatters
 per-shard evaluation to a persistent crash-isolated
-:class:`~repro.supervisor.SupervisorPool`; the in-process mode stays
-the default (the *modeled* concurrency is what the experiments
-measure, and it is deterministic).
+:class:`~repro.supervisor.SupervisorPool` whose workers are *resident
+shard hosts*: each keeps one engine and every shard it has been sent
+across batches, so a task ships only predicates (see
+:func:`_serve_shard_batch`).  The in-process mode stays the default
+(the *modeled* concurrency is what the experiments measure, and it is
+deterministic).
 """
 
 import time
+import uuid
+from array import array
 
-from ..core.costmodel import CostModel
 from ..cpu.interconnect import Interconnect
 from ..supervisor import SupervisorPool, Task
 from ..telemetry.registry import MetricsRegistry
@@ -112,6 +116,57 @@ class _Pruned:
 
 
 _PRUNED = _Pruned()
+
+
+class _ShardCache:
+    """One shard position's cross-batch WHERE cache.
+
+    Maps ``(id(shard table), predicate signature)`` to a global RID
+    list.  The lists live back to back in one int64 array, addressed by
+    ``(start, stop)`` spans, so a long-lived coordinator holds one
+    growing buffer per shard position rather than a heap block per
+    cached answer: thousands of medium-sized blocks fragment the
+    allocator's heap and raise peak RSS.  Dropped entries leave dead
+    spans, reclaimed by compacting once they outweigh the live ones.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.spans = {}
+        self.rids = array("q")
+        self.dead = 0
+
+    def __contains__(self, key):
+        return key in self.spans
+
+    def __iter__(self):
+        return iter(self.spans)
+
+    def get(self, key):
+        """The RID list cached under *key* (a fresh list), or ``None``."""
+        span = self.spans.get(key)
+        if span is None:
+            return None
+        return self.rids[span[0]:span[1]].tolist()
+
+    def put(self, key, rids):
+        start = len(self.rids)
+        self.rids.extend(rids)
+        self.spans[key] = (start, len(self.rids))
+
+    def drop(self, keys):
+        """Forget *keys*; compact once dead spans outweigh live ones."""
+        for key in keys:
+            start, stop = self.spans.pop(key)
+            self.dead += stop - start
+        if self.dead * 2 > len(self.rids):
+            old, self.rids, self.dead = self.rids, array("q"), 0
+            for key, (start, stop) in self.spans.items():
+                self.spans[key] = (len(self.rids),
+                                   len(self.rids) + stop - start)
+                self.rids.extend(old[start:stop])
 
 
 class ShardedResult(QueryResult):
@@ -297,17 +352,20 @@ class ShardedEngine:
         self._pinned_tables = {}
         #: id(table) -> plan_replicas placement (replica hosts/shard).
         self._replica_placements = {}
-        #: Cross-batch shard WHERE caches: per shard position,
-        #: (id(shard.table), predicate signature) -> global RID list.
+        #: Cross-batch shard WHERE caches, one per shard position.
         #: Disabled under fault injection — a cache hit would mask the
         #: very failover paths the chaos harness measures.
-        self._shard_cache = [{} for _ in range(shards)]
+        self._shard_cache = [_ShardCache() for _ in range(shards)]
         self._cache_enabled = fault_injector is None
         #: id(table) -> frozen Partitioner.router closure (delta
         #: routing) and rid -> shard-position owner map.
         self._routers = {}
         self._rid_owners = {}
         self._pool = None
+        #: Names this engine's shards on resident pool hosts; the
+        #: epoch, bumped by clear_caches(), tells hosts to go cold.
+        self._token = uuid.uuid4().hex
+        self._epoch = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -429,8 +487,7 @@ class ShardedEngine:
         stale = [key for key in cache
                  if key[0] == id(shard_table)
                  and signature_affected(key[1], touched)]
-        for key in stale:
-            del cache[key]
+        cache.drop(stale)
         if stale:
             self._shard_scopes[position]["cache_invalidated"].add(
                 len(stale))
@@ -446,17 +503,19 @@ class ShardedEngine:
     def execute(self, query, tracer=None, deadline_cycles=None):
         """Serve one query; returns a :class:`ShardedResult`."""
         return self._execute_one(query, cse=None, tracer=tracer,
-                                 deadline=deadline_cycles)
+                                 deadline=deadline_cycles,
+                                 sig=self._cache_signature(query))
 
     def execute_batch(self, queries, workers=1, timeout=None,
                       tracer=None, deadline_cycles=None):
         """Serve a batch; :class:`ShardedResult` per query.
 
         ``workers > 1`` evaluates shard WHERE work across a persistent
-        supervised process pool (one task per shard per batch, crash
-        isolation and retries included); the gather reduce and the
-        ORDER BY tail always run in-process on the coordinator.  Both
-        modes produce identical results and identical modeled cycles.
+        supervised process pool of resident shard hosts (one task per
+        shard per batch, crash isolation and retries included); the
+        gather reduce and the ORDER BY tail always run in-process on
+        the coordinator.  Both modes produce identical results and
+        identical modeled cycles.
 
         *deadline_cycles* overrides the engine-level deadline for this
         batch (modeled cycles per shard attempt).
@@ -468,16 +527,18 @@ class ShardedEngine:
             scope["queue_depth"].set(len(queries))
         base_cycles = [scope["cycles"].value
                        for scope in self._shard_scopes]
+        signatures = [self._cache_signature(query) for query in queries]
         try:
             if workers > 1 and len(queries) > 1:
-                prefetched = self._scatter_pooled(queries, workers,
-                                                  timeout)
+                prefetched = self._scatter_pooled(queries, signatures,
+                                                  workers, timeout)
             else:
                 prefetched = [None] * len(queries)
             cse = [{} for _ in range(self.shards)]
             results = [self._execute_one(query, cse, tracer, index,
                                          prefetched[index],
-                                         deadline_cycles)
+                                         deadline_cycles,
+                                         signatures[index])
                        for index, query in enumerate(queries)]
         finally:
             for scope in self._shard_scopes:
@@ -496,8 +557,15 @@ class ShardedEngine:
 
     # -- internals ------------------------------------------------------------
 
+    def _cache_signature(self, query):
+        """The shard-cache key part of *query*: its whole-tree
+        signature, or ``None`` when the cache does not apply."""
+        if not self._cache_enabled or query.predicate is None:
+            return None
+        return signature(query.predicate)
+
     def _execute_one(self, query, cse, tracer=None, index=0,
-                     prefetched=None, deadline=None):
+                     prefetched=None, deadline=None, sig=None):
         table = query.table
         lint_query_or_raise(query, engine=self.coordinator)
         if deadline is None:
@@ -512,7 +580,7 @@ class ShardedEngine:
             # whole table anyway.
             rids = table.all_rids()
         else:
-            entries = self._scatter(table, query.predicate, cse,
+            entries = self._scatter(table, query.predicate, sig, cse,
                                     tracer, index, prefetched, deadline)
             (rids, combined, gather_cycles, transfer_cycles,
              shard_cycles, skipped, shards_failed,
@@ -561,7 +629,7 @@ class ShardedEngine:
                              shards_failed=shards_failed,
                              failovers=failovers)
 
-    def _scatter(self, table, predicate, cse, tracer, index,
+    def _scatter(self, table, predicate, sig, cse, tracer, index,
                  prefetched, deadline):
         """Serve the WHERE tree on every owning shard, with failover.
 
@@ -586,8 +654,8 @@ class ShardedEngine:
                 continue
             hosts = [position] + placement[position]
             entries.append(self._serve_shard(
-                position, hosts, shard, predicate, cse, tracer, index,
-                payload, deadline))
+                position, hosts, shard, predicate, sig, cse, tracer,
+                index, payload, deadline))
         return entries
 
     def _order_by_partitioned(self, table, query, entries, stats):
@@ -635,31 +703,31 @@ class ShardedEngine:
             ordered.reverse()
         return ordered, sort_cycle_map
 
-    def _serve_shard(self, position, hosts, shard, predicate, cse,
+    def _serve_shard(self, position, hosts, shard, predicate, sig, cse,
                      tracer, index, payload, deadline):
         """One shard's WHERE, behind the cross-batch shard cache.
 
-        A (shard table, predicate signature) hit returns the cached
-        global RID list without dispatching to any host (modeled
-        cycles: zero, like the engine-level scan cache).  Entries are
-        installed only from checksum-verified ``ok`` serves and are
-        invalidated by :meth:`apply_delta`'s touched-value footprint;
-        under fault injection the cache is disabled outright — a hit
-        would mask the failover paths the chaos harness measures.
+        A (shard table, predicate signature *sig*) hit returns the
+        cached global RID list without dispatching to any host
+        (modeled cycles: zero, like the engine-level scan cache).
+        Entries are installed only from checksum-verified ``ok`` serves
+        and are invalidated by :meth:`apply_delta`'s touched-value
+        footprint; under fault injection the cache is disabled outright
+        (*sig* is ``None``) — a hit would mask the failover paths the
+        chaos harness measures.
         """
-        key = None
-        if self._cache_enabled:
-            key = (id(shard.table), signature(predicate))
+        if sig is not None:
+            key = (id(shard.table), sig)
             cached = self._shard_cache[position].get(key)
             if cached is not None:
                 self._shard_scopes[position]["cache_hits"].add(1)
-                return ("ok", list(cached), QueryStats(), 0, 0)
+                return ("ok", cached, QueryStats(), 0, 0)
             self._shard_scopes[position]["cache_misses"].add(1)
         entry = self._serve_shard_uncached(
             position, hosts, shard, predicate, cse, tracer, index,
             payload, deadline)
-        if key is not None and entry[0] == "ok":
-            self._shard_cache[position][key] = list(entry[1])
+        if sig is not None and entry[0] == "ok":
+            self._shard_cache[position].put(key, entry[1])
         return entry
 
     def _serve_shard_uncached(self, position, hosts, shard, predicate,
@@ -912,7 +980,7 @@ class ShardedEngine:
 
     # -- pooled scatter -------------------------------------------------------
 
-    def _scatter_pooled(self, queries, workers, timeout):
+    def _scatter_pooled(self, queries, signatures, workers, timeout):
         """Evaluate all (query, shard) WHERE work on a process pool.
 
         One task per owning shard carries the whole batch's predicate
@@ -922,6 +990,12 @@ class ShardedEngine:
         checksum, stats)`` payloads, the ``_PRUNED`` sentinel, or
         ``_POOL_FAILED`` for cells whose worker task failed (served by
         replica failover, or degraded / raised downstream).
+
+        The workers are resident shard hosts (:func:`_serve_shard_batch`):
+        a task names its shard by key and version instead of carrying
+        it.  A host that does not hold the shard at that version
+        answers ``None``, and just those tasks run once more with the
+        :class:`~repro.db.partition.TableShard` attached.
 
         A failed task raises a typed :class:`ShardError` carrying the
         per-task outcomes *and* the surviving prefetched cells — but
@@ -942,12 +1016,11 @@ class ShardedEngine:
         prefetched = [[None] * self.shards for _ in queries]
         for position, shard in enumerate(shards):
             plan = []
-            for query_index, query in enumerate(queries):
+            for query_index, (query, sig) in enumerate(
+                    zip(queries, signatures)):
                 if query.predicate is None:
                     continue
-                if self._cache_enabled and (
-                        id(shard.table),
-                        signature(query.predicate)) \
+                if sig is not None and (id(shard.table), sig) \
                         in self._shard_cache[position]:
                     # Cached pairs skip the pool; the inline path
                     # serves them from the shard cache.
@@ -959,55 +1032,64 @@ class ShardedEngine:
             plans.append(plan)
         if self._pool is None:
             self._pool = SupervisorPool(jobs=min(workers, self.shards))
-        tasks = []
-        for position, plan in enumerate(plans):
-            if not plan:
-                continue
-            shard = shards[position]
-            spec = {
-                "config": self.config_name,
-                "partial_load": self.partial_load,
-                "cost_model": self.cost_model is not None,
-                "table": {
-                    "name": shard.table.name,
-                    "columns": {name: list(values) for name, values
-                                in shard.table.columns.items()},
-                    "indexes": [column for column
-                                in shard.table.columns
-                                if shard.table.has_index(column)],
-                },
-                "global_rids": shard.held_rids(),
-                "predicates": [(query_index, predicate)
-                               for query_index, predicate in plan],
-            }
-            tasks.append((position,
-                          Task("shard-%d" % position,
-                               _serve_shard_batch, (spec,))))
-        report = self._pool.run([task for _position, task in tasks],
-                                timeout=timeout, retries=1)
+        positions = [position for position, plan in enumerate(plans)
+                     if plan]
+        report = self._pool.run(
+            [self._host_task(shards[position], plans[position])
+             for position in positions], timeout=timeout, retries=1)
+        outcomes = list(report.outcomes)
+        missed = [slot for slot, outcome in enumerate(outcomes)
+                  if outcome.ok and outcome.value is None]
+        if missed:
+            resent = self._pool.run(
+                [self._host_task(shards[positions[slot]],
+                                 plans[positions[slot]], ship=True)
+                 for slot in missed], timeout=timeout, retries=1)
+            for slot, outcome in zip(missed, resent.outcomes):
+                outcomes[slot] = outcome
         failed = []
-        for (position, _task), outcome in zip(tasks, report.outcomes):
+        for position, outcome in zip(positions, outcomes):
             if not outcome.ok:
                 failed.append((position, outcome))
                 for query_index, _predicate in plans[position]:
                     prefetched[query_index][position] = _POOL_FAILED
                 continue
-            for query_index, rids, checksum, stats in outcome.value:
+            served, counts = outcome.value
+            for query_index, rids, checksum, stats in served:
                 prefetched[query_index][position] = (rids, checksum,
                                                      stats)
+            # The host's cache economics land where an inline shard
+            # engine would have counted them: db.shard.<i>.engine.*.
+            self.shard_engines[position].registry.merge_values(
+                counts, prefix="db.engine")
         if failed and self.strict and self.replication == 0:
-            positions = ", ".join(str(position)
-                                  for position, _outcome in failed)
+            names = ", ".join(str(position)
+                              for position, _outcome in failed)
             raise ShardError(
                 "shard worker(s) %s failed: %s"
-                % (positions, "; ".join(
+                % (names, "; ".join(
                     "%s: %s" % (outcome.key,
                                 (outcome.error or "?")
                                 .strip().splitlines()[0])
                     for _position, outcome in failed)),
-                outcomes=report.outcomes, survivors=prefetched,
+                outcomes=outcomes, survivors=prefetched,
                 shard=failed[0][0])
         return prefetched
+
+    def _host_task(self, shard, plan, ship=False):
+        """A resident-host task for one shard's share of a batch.
+
+        Carries the engine spec, the shard's host key ``(engine token,
+        id(shard table))``, its table version (bumped by every delta),
+        the cache epoch and the predicates; the shard itself only when
+        *ship* is set.
+        """
+        engine_spec = (self.config_name, self.partial_load,
+                       self.cost_model is not None)
+        return Task("shard-%d" % shard.shard_id, _serve_shard_batch,
+                    (engine_spec, (self._token, id(shard.table)),
+                     shard.table.version, self._epoch, plan,
+                     shard if ship else None))
 
     # -- introspection --------------------------------------------------------
 
@@ -1030,7 +1112,8 @@ class ShardedEngine:
 
     def clear_caches(self):
         """Forget cached answers: coordinator, shard-engine and
-        cross-batch shard caches.
+        cross-batch shard caches, and (through the cache epoch the
+        next pooled tasks carry) the resident pool hosts' scan caches.
 
         Layout state stays — partitions, frozen routers, replica
         placements, RID owners and the table pins their ``id()`` keys
@@ -1043,6 +1126,7 @@ class ShardedEngine:
             engine.clear_caches()
         for cache in self._shard_cache:
             cache.clear()
+        self._epoch += 1
 
     def __repr__(self):
         return "<ShardedEngine %s x%d %s cost_model=%s replicas=%d>" % (
@@ -1051,32 +1135,86 @@ class ShardedEngine:
             self.cost_model is not None, self.replication)
 
 
-def _serve_shard_batch(spec):
+#: Engine counters a resident host reports back per task.
+_HOST_COUNTERS = ("scan_cache.hits", "scan_cache.misses", "cse.hits")
+
+#: The resident shard host of this process.  Only pool workers create
+#: one (their first :func:`_serve_shard_batch` call); it lives as long
+#: as the worker process.
+_HOST = None
+
+
+class _ResidentHost:
+    """A pool worker's engine and every shard it has been sent.
+
+    Shards are keyed by ``(engine token, id(parent shard table))``;
+    the parent pins its tables, so a key names one shard for the
+    sending engine's lifetime.  A held shard's ``table.version`` is
+    the version it was shipped at, so a task naming a later version
+    misses until the shard is shipped again.
+    """
+
+    def __init__(self, engine_spec):
+        config, partial_load, cost_model = engine_spec
+        self.engine_spec = engine_spec
+        self.engine = QueryEngine(config=config,
+                                  partial_load=partial_load,
+                                  cost_model=cost_model)
+        self.shards = {}
+        #: (token, epoch) the engine's caches were last cleared for.
+        self.epoch = None
+
+    def serve(self, key, version, epoch, predicates, shard):
+        engine = self.engine
+        held = self.shards.get(key)
+        if shard is not None and (held is None
+                                  or held.table.version != version):
+            if held is not None:
+                # The replaced table's id() can be handed to its
+                # successor; no scan cached under it may survive.
+                engine.clear_caches()
+            held = self.shards[key] = shard
+        if held is None or held.table.version != version:
+            return None
+        if self.epoch != (key[0], epoch):
+            engine.clear_caches()
+            self.epoch = (key[0], epoch)
+        before = self._counts()
+        cse = {}
+        served = []
+        for query_index, predicate in predicates:
+            local, stats = engine.evaluate_predicate(
+                held.table, predicate, cse=cse)
+            rids = held.to_global(local)
+            served.append((query_index, rids, rid_checksum(rids),
+                           stats))
+        after = self._counts()
+        return served, {name: after[name] - before[name]
+                        for name in _HOST_COUNTERS}
+
+    def _counts(self):
+        registry = self.engine.registry
+        return {name: registry.get("db.engine." + name).read()
+                for name in _HOST_COUNTERS}
+
+
+def _serve_shard_batch(engine_spec, key, version, epoch, predicates,
+                       shard=None):
     """Worker-process entry: one shard's WHERE work for a batch.
 
-    Module-level (picklable) by supervisor contract.  Rebuilds the
-    shard table and a private engine, evaluates each predicate with
-    batch-level CSE, and returns ``(query_index, global_rids,
-    checksum, stats)`` tuples — RIDs already mapped to the global
-    space (so the parent's gather fold needs no shard state) and
-    checksummed at the sender, so corruption on the response path is
-    detected at delivery.
+    Module-level (picklable) by supervisor contract.  The worker's
+    resident host evaluates each ``(query_index, predicate)`` with
+    batch-level CSE against the shard held under *key* at *version*,
+    installing *shard* first when it is attached.  Returns ``None``
+    when no shard is held at that version (the parent then resends
+    with the shard), else ``(served, counts)``: ``(query_index,
+    global_rids, checksum, stats)`` tuples — RIDs already in the
+    global space (so the parent's gather fold needs no shard state)
+    and checksummed at the sender, so corruption on the response path
+    is detected at delivery — and the task's scan-cache / CSE counter
+    deltas.  A new *epoch* clears the engine's caches first.
     """
-    from .table import Table
-    engine = QueryEngine(config=spec["config"],
-                         partial_load=spec["partial_load"],
-                         cost_model=CostModel()
-                         if spec["cost_model"] else False)
-    payload = spec["table"]
-    table = Table(payload["name"], payload["columns"])
-    for column in payload["indexes"]:
-        table.create_index(column)
-    global_rids = spec["global_rids"]
-    cse = {}
-    results = []
-    for query_index, predicate in spec["predicates"]:
-        local, stats = engine.evaluate_predicate(table, predicate,
-                                                 cse=cse)
-        rids = [global_rids[rid] for rid in local]
-        results.append((query_index, rids, rid_checksum(rids), stats))
-    return results
+    global _HOST
+    if _HOST is None or _HOST.engine_spec != engine_spec:
+        _HOST = _ResidentHost(engine_spec)
+    return _HOST.serve(key, version, epoch, predicates, shard)

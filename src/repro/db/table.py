@@ -19,6 +19,10 @@ from ..core.common import SENTINEL
 class Table:
     """A fixed set of integer columns of equal length."""
 
+    #: Row tables are immutable; a ColumnarTable bumps its version on
+    #: every delta (resident shard hosts compare it).
+    version = 0
+
     def __init__(self, name, columns):
         self.name = name
         self.columns = {}

@@ -21,7 +21,10 @@ but adds the guardrails the sweeps need:
   The supervisor respawns the pool and requeues the affected tasks,
   counting a strike against each — an innocent sibling gets re-run,
   while the poison task exhausts its strike budget and is reported
-  ``failed`` instead of breaking the pool forever.
+  ``failed`` instead of breaking the pool forever.  A worker that died
+  while the pool sat idle surfaces at the next submit instead; the
+  pool is respawned the same way and the task resubmitted without a
+  strike, since none of it ran.
 
 Outcomes are returned in input order with per-task status
 (``ok`` / ``retried`` / ``failed`` / ``timeout``) and a
@@ -305,29 +308,8 @@ class SupervisorPool:
                 say("giving up on %r: %s"
                     % (record.task.key, error.strip().splitlines()[0]))
 
-        while ready or delayed or in_flight:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                ready.append(delayed.pop(0)[1])
-            while ready and len(in_flight) < 2 * jobs:
-                record = ready.popleft()
-                record.outcome.attempts += 1
-                counters["submitted"].value += 1
-                future = pool.submit(_guarded_call, record.task.fn,
-                                     record.task.args,
-                                     record.task.kwargs, timeout)
-                in_flight[future] = record
-            if not in_flight:
-                # Nothing running; sleep until the next retry is due.
-                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
-                continue
-            wait_timeout = None
-            if delayed:
-                wait_timeout = max(0.0,
-                                   delayed[0][0] - time.monotonic())
-            done, _ = concurrent.futures.wait(
-                in_flight, timeout=wait_timeout,
-                return_when=concurrent.futures.FIRST_COMPLETED)
+        def harvest(done):
+            """Settle finished futures; True if one saw the pool break."""
             broken = False
             for future in done:
                 record = in_flight.pop(future)
@@ -345,15 +327,54 @@ class SupervisorPool:
                            else "retried")
                 else:
                     strike(record, payload)
-            if broken:
-                # Remaining in-flight futures are poisoned too: strike
-                # and requeue them, then respawn the pool.
-                counters["pool_breaks"].value += 1
-                say("worker pool broke; respawning")
-                for _future, record in list(in_flight.items()):
-                    strike(record, "worker pool broke")
-                in_flight.clear()
-                pool = self._respawn_pool()
+            return broken
+
+        def respawn(when):
+            # Futures still in flight are poisoned too: strike and
+            # requeue them, then respawn the pool.
+            counters["pool_breaks"].value += 1
+            say("worker pool broke %s; respawning" % when)
+            for record in in_flight.values():
+                strike(record, "worker pool broke")
+            in_flight.clear()
+            return self._respawn_pool()
+
+        while ready or delayed or in_flight:
+            now = time.monotonic()
+            while delayed and delayed[0][0] <= now:
+                ready.append(delayed.pop(0)[1])
+            while ready and len(in_flight) < 2 * jobs:
+                record = ready[0]
+                try:
+                    future = pool.submit(_guarded_call, record.task.fn,
+                                         record.task.args,
+                                         record.task.kwargs, timeout)
+                except BrokenProcessPool:
+                    # A worker died since the last submit, possibly
+                    # while the pool sat idle between runs.  Nothing of
+                    # this task ran, so it is resubmitted to the
+                    # respawned pool without being charged an attempt.
+                    harvest([future for future in in_flight
+                             if future.done()])
+                    pool = respawn("before submit")
+                    continue
+                ready.popleft()
+                record.outcome.attempts += 1
+                counters["submitted"].value += 1
+                in_flight[future] = record
+            if not in_flight:
+                # Nothing running; sleep until the next retry is due.
+                time.sleep(max(0.0, delayed[0][0] - time.monotonic()))
+                continue
+            wait_timeout = None
+            if delayed:
+                wait_timeout = max(0.0,
+                                   delayed[0][0] - time.monotonic())
+            done, _ = concurrent.futures.wait(
+                in_flight, timeout=wait_timeout,
+                return_when=concurrent.futures.FIRST_COMPLETED)
+            if harvest(done):
+                pool = respawn("mid-run")
 
         return SuperviseReport(
             [record.outcome for record in records],

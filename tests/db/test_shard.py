@@ -10,14 +10,18 @@ more shards than rows — must degrade to the same answer, and sound
 pruning must only ever *skip* work, never change it.
 """
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
 from repro.db import (And, AndNot, Eq, HashPartitioner, In, Or, Query,
                       QueryEngine, Range, RangePartitioner, ShardedEngine,
-                      Table, make_partitioner, partition_table,
+                      Table, TableShard, make_partitioner, partition_table,
                       shard_may_match, skew_ratio)
+from repro.supervisor import SupervisorPool
 
 ROWS = 360
 
@@ -396,6 +400,165 @@ class TestShardCache:
         for position in range(3):
             assert snapshot["db.shard.%d.cache.hits" % position] == 0
             assert snapshot["db.shard.%d.cache.misses" % position] == 0
+
+
+def columnar_table():
+    from repro.db import ColumnarTable
+    source = build_table()
+    table = ColumnarTable("events", {
+        name: source.column(name) for name in ("kind", "zone", "score")})
+    for column in ("kind", "zone", "score"):
+        table.create_index(column)
+    return table
+
+
+def churn(table, rng, count=24):
+    """A delta deleting *count* live rows and inserting *count* new
+    ones, touching most values the tree shapes probe."""
+    from repro.db import DeltaBatch
+    return DeltaBatch(
+        inserts={"kind": [rng.randrange(5) for _ in range(count)],
+                 "zone": [rng.randrange(7) for _ in range(count)],
+                 "score": [rng.randrange(500) for _ in range(count)]},
+        delete_rids=rng.sample(table.all_rids(), count))
+
+
+class _RecordingPool:
+    """Wraps the real pool and keeps every task it was asked to run."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.tasks = []
+
+    def run(self, tasks, timeout=None, retries=1):
+        self.tasks.extend(tasks)
+        return self.pool.run(tasks, timeout=timeout, retries=retries)
+
+    def shutdown(self):
+        self.pool.shutdown()
+
+    def shipped(self):
+        """Tasks that carried a whole shard."""
+        return sum(any(isinstance(arg, TableShard) for arg in task.args)
+                   for task in self.tasks)
+
+
+class TestResidentHosts:
+    """Pool workers keep engines and shards across batches; tasks ship
+    predicates, and a shard only when a host lacks its version."""
+
+    @pytest.mark.parametrize("partitioner", ("hash", "range"))
+    @pytest.mark.parametrize("cost_model", (True, False),
+                             ids=("costmodel", "iss"))
+    def test_batches_across_deltas_match_inline(self, partitioner,
+                                                cost_model):
+        pytest.importorskip("numpy")
+        pooled_table, inline_table = columnar_table(), columnar_table()
+        pooled = ShardedEngine(shards=3, partitioner=partitioner,
+                               cost_model=cost_model)
+        inline = ShardedEngine(shards=3, partitioner=partitioner,
+                               cost_model=cost_model)
+        rng = random.Random(5)
+        try:
+            for batch in range(3):
+                if batch:
+                    delta = churn(pooled_table, rng)
+                    pooled.apply_delta(pooled_table, delta)
+                    inline.apply_delta(inline_table, delta)
+                got = pooled.execute_batch(
+                    [Query(pooled_table, shape) for shape in TREE_SHAPES],
+                    workers=2)
+                want = inline.execute_batch(
+                    [Query(inline_table, shape) for shape in TREE_SHAPES])
+                assert [r.rids for r in got] == [r.rids for r in want]
+                assert [r.shard_cycles for r in got] \
+                    == [r.shard_cycles for r in want]
+                assert [r.makespan_cycles for r in got] \
+                    == [r.makespan_cycles for r in want]
+        finally:
+            pooled.shutdown()
+
+    def test_shard_shipped_once_and_again_after_delta(self):
+        pytest.importorskip("numpy")
+        table = columnar_table()
+        engine = ShardedEngine(shards=1)
+        pool = engine._pool = _RecordingPool(SupervisorPool(jobs=1))
+
+        def serve(batch):
+            queries = [Query(table, And(Eq("kind", kind),
+                                        Range("score", 40 * batch,
+                                              40 * batch + 250)))
+                       for kind in (1, 2)]
+            got = engine.execute_batch(queries, workers=2)
+            want = QueryEngine().execute_batch(queries)
+            assert [r.rids for r in got] == [r.rids for r in want]
+
+        try:
+            for batch in range(5):
+                serve(batch)
+            assert pool.shipped() == 1
+            engine.apply_delta(table, churn(table, random.Random(8)))
+            serve(5)
+            assert pool.shipped() == 2
+            assert len(pool.tasks) == 8  # 6 batches + 2 resends
+        finally:
+            engine.shutdown()
+
+    def test_idle_worker_killed_between_batches(self, table, reference):
+        engine = ShardedEngine(shards=2)
+        queries = [Query(table, shape) for shape in TREE_SHAPES]
+        try:
+            engine.execute_batch(queries[:4], workers=2)
+            executor = engine._pool._pool
+            os.kill(next(iter(executor._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken, "the pool never saw the death"
+            results = engine.execute_batch(queries, workers=2)
+        finally:
+            engine.shutdown()
+        assert [r.rids for r in results] == [rids for rids, _ in
+                                             reference]
+
+    def test_clear_caches_turns_resident_hosts_cold(self, table):
+        """Worker scan-cache economics reach the parent's registry and
+        match an inline engine's; clear_caches() makes them cold."""
+        queries = [Query(table, And(Eq("kind", 1), Range("score", 50, 400))),
+                   Query(table, Or(Eq("kind", 1), Eq("zone", 3))),
+                   Query(table, AndNot(Range("score", 50, 400),
+                                       Eq("zone", 3)))]
+        names = ["db.shard.0.engine.%s" % name for name in
+                 ("scan_cache.hits", "scan_cache.misses", "cse.hits")]
+
+        def rounds(engine, workers):
+            # The empty fault plan disarms the cross-batch shard cache,
+            # so every round reaches the shard engines.
+            counts = []
+            for clear in (False, False, True):
+                if clear:
+                    engine.clear_caches()
+                before = engine.metrics_snapshot()
+                engine.execute_batch(queries, workers=workers)
+                after = engine.metrics_snapshot()
+                counts.append([after[name] - before.get(name, 0)
+                               for name in names])
+            return counts
+
+        def make():
+            from repro.faults.db import DbFaultInjector
+            from repro.faults.plan import FaultPlan
+            return ShardedEngine(shards=1, fault_injector=DbFaultInjector(
+                FaultPlan([])))
+
+        pooled = make()
+        try:
+            cold, warm, cleared = rounds(pooled, workers=2)
+        finally:
+            pooled.shutdown()
+        assert cleared == cold
+        assert warm[0] > cold[0]
+        assert [cold, warm, cleared] == rounds(make(), workers=1)
 
 
 class TestRouters:

@@ -34,6 +34,10 @@ def _die_hard():
     os._exit(17)
 
 
+def _pid():
+    return os.getpid()
+
+
 def _flaky(path):
     """Fails on the first attempt, succeeds afterwards."""
     if not os.path.exists(path):
@@ -170,6 +174,26 @@ class TestSupervisorPoolEdges:
                                Task("b", _double, (3,))])
             assert second.ok
             assert [o.value for o in second.outcomes] == [4, 6]
+
+    def test_worker_killed_while_idle_respawns_at_submit(self):
+        """A worker SIGKILLed between two runs breaks the idle pool;
+        the next run respawns it and charges no task an attempt."""
+        with SupervisorPool(jobs=1) as pool:
+            worker = pool.run([Task("pid", _pid)]).outcomes[0].value
+            executor = pool._pool
+            os.kill(worker, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert executor._broken, "the executor never saw the death"
+            report = pool.run([Task("a", _double, (2,)),
+                               Task("b", _double, (3,))])
+        assert [o.value for o in report.outcomes] == [4, 6]
+        assert [o.status for o in report.outcomes] == ["ok", "ok"]
+        assert [o.attempts for o in report.outcomes] == [1, 1]
+        snapshot = report.snapshot.as_dict()
+        assert snapshot["supervisor.pool_breaks"] == 1
+        assert snapshot["supervisor.requeued"] == 0
 
     def test_timeout_unsupported_warns_once_and_is_counted(
             self, monkeypatch):
