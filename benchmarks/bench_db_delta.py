@@ -17,14 +17,11 @@ When ``BENCH_REPORT_DIR`` is set the summary is written to
 ``repro bench record``; see docs/STORAGE.md).
 """
 
-import json
-import os
 import time
 
 import pytest
 
-pytest.importorskip("numpy")
-
+from conftest import write_summary
 from repro.db.columnar import ColumnarTable, DeltaBatch
 from repro.db.table import Table
 from repro.workloads.sets import generate_delta_stream
@@ -52,18 +49,6 @@ def _build_columnar(columns, rids=None):
     for name in COLUMNS:
         table.create_index(name)
     return table
-
-
-def _write_summary(payload):
-    directory = os.environ.get("BENCH_REPORT_DIR")
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_db_delta.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def _run_incremental(initial, batches):
@@ -118,14 +103,14 @@ def test_delta_maintenance_vs_rebuild(benchmark, stream):
     _table, incremental_seconds = _run_incremental(initial, batches)
     rebuilt, rebuild_seconds = _run_rebuild(initial, specs)
 
-    assert incremental.all_rids() == rebuilt.all_rids(), \
+    assert incremental.all_rids().tolist() == rebuilt.all_rids().tolist(), \
         "incremental RID space diverged from the rebuild"
     for name in COLUMNS:
         assert incremental.column(name) == rebuilt.column(name), \
             "column %s diverged" % name
     probe = incremental.index("price")
-    assert probe.scan_range(100, 300) \
-        == rebuilt.index("price").scan_range(100, 300)
+    assert probe.scan_range(100, 300).tolist() \
+        == rebuilt.index("price").scan_range(100, 300).tolist()
     assert probe.delta_merges > 0
 
     speedup = rebuild_seconds / incremental_seconds \
@@ -164,7 +149,7 @@ def test_delta_maintenance_vs_rebuild(benchmark, stream):
     benchmark.extra_info["index_build_speedup"] = \
         round(index_build_speedup, 2)
     benchmark.extra_info["final_rows"] = incremental.row_count
-    path = _write_summary(summary)
+    path = write_summary("db_delta", summary)
     if path:
         benchmark.extra_info["report"] = path
 

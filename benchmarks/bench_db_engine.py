@@ -11,27 +11,13 @@ is set, the summary is written to ``BENCH_db_engine.json`` (consumed
 by the CI throughput gate; see docs/QUERY_ENGINE.md).
 """
 
-import json
-import os
-
+from conftest import write_summary
 from repro.db.bench import build_demo_table, demo_queries, run_bench
 from repro.db.engine import QueryEngine
 
 #: The CI gate: the cost-model engine must serve batches at least this
 #: many times faster than the ISS serving path.
 MIN_SPEEDUP = 10.0
-
-
-def _write_summary(payload):
-    directory = os.environ.get("BENCH_REPORT_DIR")
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_db_engine.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def test_engine_batch_throughput(benchmark):
@@ -59,7 +45,7 @@ def test_engine_batch_throughput(benchmark):
     benchmark.extra_info["iss_qps"] = round(
         report["iss"]["queries_per_second"], 1)
     benchmark.extra_info["speedup"] = round(report["speedup"], 2)
-    path = _write_summary(report)
+    path = write_summary("db_engine", report)
     if path:
         benchmark.extra_info["report"] = path
 

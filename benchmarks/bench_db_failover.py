@@ -10,9 +10,7 @@ is written to ``BENCH_db_failover.json`` (consumed by the CI ``chaos``
 job and ``repro bench record``; see docs/SHARDING.md).
 """
 
-import json
-import os
-
+from conftest import write_summary
 from repro.db.shard import ShardedEngine
 from repro.experiments.scale_out import _where_queries, build_demo_table
 from repro.faults.db import DbFaultInjector, WorkerKill
@@ -26,18 +24,6 @@ SHARDS = 4
 #: overhead vs the fault-free sharded run (the replica re-serves one
 #: shard's WHERE work; everything else is unchanged).
 MAX_MASKED_OVERHEAD = 3.0
-
-
-def _write_summary(payload):
-    directory = os.environ.get("BENCH_REPORT_DIR")
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_db_failover.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def test_failover_masked_kill(benchmark):
@@ -89,7 +75,7 @@ def test_failover_masked_kill(benchmark):
     }
     benchmark.extra_info["masked_overhead"] = round(overhead, 2)
     benchmark.extra_info["failovers"] = summary["failovers"]
-    path = _write_summary(summary)
+    path = write_summary("db_failover", summary)
     if path:
         benchmark.extra_info["report"] = path
 

@@ -11,9 +11,7 @@ summary is written to ``BENCH_db_shard.json`` (consumed by the CI
 ``scale-out`` gate and ``repro bench record``; see docs/SHARDING.md).
 """
 
-import json
-import os
-
+from conftest import write_summary
 from repro.db.engine import QueryEngine
 from repro.db.shard import ShardedEngine
 from repro.experiments.scale_out import _where_queries, build_demo_table
@@ -24,18 +22,6 @@ MIN_MODELED_SPEEDUP = 2.0
 ROWS = 8192
 QUERIES = 24
 SHARDS = 4
-
-
-def _write_summary(payload):
-    directory = os.environ.get("BENCH_REPORT_DIR")
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_db_shard.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def test_sharded_batch_serving(benchmark):
@@ -86,7 +72,7 @@ def test_sharded_batch_serving(benchmark):
     benchmark.extra_info["modeled_speedup"] = round(modeled_speedup, 2)
     benchmark.extra_info["makespan_cycles"] = makespan_cycles
     benchmark.extra_info["skew"] = round(summary["skew"], 2)
-    path = _write_summary(summary)
+    path = write_summary("db_shard", summary)
     if path:
         benchmark.extra_info["report"] = path
 

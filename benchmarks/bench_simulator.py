@@ -9,11 +9,10 @@ write the speedup summary to ``BENCH_simulator.json`` (consumed by the
 CI perf smoke; see docs/PERFORMANCE.md).
 """
 
-import json
 import os
 import time
 
-from conftest import run_once
+from conftest import run_once, write_summary
 from repro.core.scalar_kernels import run_scalar_merge_sort
 from repro.workloads.sorting import random_values
 
@@ -36,19 +35,6 @@ def _time_reference(fn, *args, repeats=3):
         return _best_of(fn, *args, repeats=repeats)
     finally:
         os.environ.pop("REPRO_NO_FASTPATH", None)
-
-
-def _write_speedup_summary(payload):
-    """Write the BENCH_simulator.json speedup record, if requested."""
-    directory = os.environ.get("BENCH_REPORT_DIR")
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "BENCH_simulator.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def test_simulator_instruction_rate(benchmark, processors):
@@ -81,7 +67,7 @@ def test_simulator_instruction_rate(benchmark, processors):
     benchmark.extra_info["sim_instructions_per_second_reference"] = \
         ref_rate
     benchmark.extra_info["fastpath_speedup"] = round(speedup, 2)
-    _write_speedup_summary({
+    write_summary("simulator", {
         "benchmark": "simulator_fastpath",
         "workload": "scalar merge sort",
         "config": "DBA_1LSU",

@@ -11,9 +11,11 @@ When ``BENCH_REPORT_DIR`` is set, :func:`run_once` additionally writes
 one ``BENCH_<benchmark>.json`` run report per simulated run it can see
 in the benchmarked callable's return value — the machine-readable perf
 trajectory consumed by CI and cross-PR comparisons (schema:
-:mod:`repro.telemetry.report`).
+:mod:`repro.telemetry.report`) — and :func:`write_summary` writes the
+summaries of the benchmarks that report more than one run.
 """
 
+import json
 import os
 import re
 
@@ -114,4 +116,20 @@ def _write_bench_report(directory, bench_name, run):
     slug = re.sub(r"[^A-Za-z0-9_.-]+", "_", bench_name).strip("_")
     path = os.path.join(directory, "BENCH_%s.json" % slug)
     RunReport.from_run(run, workload=bench_name).save(path)
+    return path
+
+
+def write_summary(name, payload):
+    """Write *payload* as ``BENCH_<name>.json`` into ``BENCH_REPORT_DIR``.
+
+    Returns the path, or ``None`` when the variable is unset.
+    """
+    directory = os.environ.get("BENCH_REPORT_DIR")
+    if not directory:
+        return None
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "BENCH_%s.json" % name)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
     return path

@@ -6,8 +6,8 @@ is bounded by simulator speed rather than by the modeled hardware.
 This module removes the simulator from the serving path while keeping
 the *cycle numbers* exact:
 
-* results are computed with plain set algebra / sorting (NumPy when
-  available, C-level ``set``/``sorted`` otherwise), and
+* results are computed with vectorized set algebra / sorting over
+  int64 RID arrays, and
 * cycle counts are predicted from a per-(processor-config, kernel,
   unroll) linear model over *event counts* — how often each control
   path of the kernel executes for a given input.
@@ -48,35 +48,18 @@ import bisect
 import math
 import os
 from fractions import Fraction
-from itertools import accumulate, islice
-from operator import lt
+
+import numpy as np
 
 from .common import LANES
 from .kernels import DEFAULT_UNROLL, run_merge_sort, run_set_operation
 from .scalar_kernels import (run_scalar_merge_sort,
                              run_scalar_set_operation)
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images install numpy
-    _np = None
-
 #: Module-level calibration cache, shared across CostModel instances
 #: the way compiled kernels are shared across processors:
 #: (config signature, kernel kind) -> coefficient list or None (failed).
 _CALIBRATIONS = {}
-
-
-def _operand_list(values):
-    """Normalize a kernel operand to a plain list of Python ints.
-
-    The columnar storage layer produces ndarray RID/value vectors;
-    everything below the public CostModel API (feature extraction,
-    kernel walks, calibration probes) assumes list semantics.
-    """
-    if _np is not None and isinstance(values, _np.ndarray):
-        return values.tolist()
-    return values
 
 
 def clear_calibration_cache():
@@ -203,52 +186,39 @@ class _Unmodelable(ValueError):
     """
 
 
-#: Below this operand size the numpy call overhead beats C-level sets.
-_NUMPY_CUTOVER = 64
-
-
-def set_result(which, set_a, set_b):
-    """The kernel's result list, computed without the processor.
+def member_mask(set_a, set_b):
+    """Boolean mask of the elements of int64 array *set_a* found in
+    *set_b*: one ``searchsorted`` that both the result and the feature
+    walk read.
 
     Raises :class:`_Unmodelable` unless both operands are strictly
     increasing — the kernels' contract, outside which only the ISS
-    knows the output.  Unions concatenate, sort and drop repeats:
-    NumPy 2's hash-based ``union1d`` is over 10x slower at serving
-    sizes.
+    knows the output.
     """
-    if _np is not None and len(set_a) + len(set_b) >= _NUMPY_CUTOVER:
-        a = _np.asarray(set_a, dtype=_np.int64)
-        b = _np.asarray(set_b, dtype=_np.int64)
-        if (a[1:] <= a[:-1]).any() or (b[1:] <= b[:-1]).any():
-            raise _Unmodelable("set operands must be strictly increasing")
-        if which == "intersection":
-            out = _np.intersect1d(a, b, assume_unique=True)
-        elif which == "union":
-            out = _np.concatenate((a, b))
-            out.sort()
-            keep = _np.ones(out.size, dtype=bool)
-            _np.not_equal(out[1:], out[:-1], out=keep[1:])
-            out = out[keep]
-        else:
-            out = _np.setdiff1d(a, b, assume_unique=True)
-        return out.tolist()
-    set_a = _operand_list(set_a)
-    set_b = _operand_list(set_b)
-    if not (all(map(lt, set_a, islice(set_a, 1, None)))
-            and all(map(lt, set_b, islice(set_b, 1, None)))):
+    if (set_a[1:] <= set_a[:-1]).any() or (set_b[1:] <= set_b[:-1]).any():
         raise _Unmodelable("set operands must be strictly increasing")
-    sa, sb = set(set_a), set(set_b)
+    if not len(set_b):
+        return np.zeros(len(set_a), dtype=bool)
+    positions = np.searchsorted(set_b, set_a)
+    np.minimum(positions, len(set_b) - 1, out=positions)
+    return set_b[positions] == set_a
+
+
+def set_result(which, set_a, set_b, member):
+    """The kernel's result array, computed without the processor from
+    the operands and their :func:`member_mask`.
+
+    A union concatenates the A-only elements with B and sorts once: a
+    stable sort merges the two ascending runs (NumPy 2's hash-based
+    ``union1d`` is over 10x slower at serving sizes).
+    """
     if which == "intersection":
-        return sorted(sa & sb)
-    if which == "union":
-        return sorted(sa | sb)
-    return sorted(sa - sb)
-
-
-def sort_result(values):
-    if _np is not None and len(values) >= _NUMPY_CUTOVER:
-        return _np.sort(_np.asarray(values, dtype=_np.int64)).tolist()
-    return sorted(_operand_list(values))
+        return set_a[member]
+    if which == "difference":
+        return set_a[~member]
+    out = np.concatenate((set_a[~member], set_b))
+    out.sort(kind="stable")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +231,30 @@ def sort_result(values):
 #    term_adva, term_advb, term_both_a, term_both_b,
 #    n_drain_a (union/difference), n_drain_b (union)]
 
-def scalar_set_features(which, set_a, set_b):
+def scalar_set_features(which, set_a, set_b, member):
+    """Event counts of the scalar set kernels for int64 operands and
+    their :func:`member_mask`."""
     drains = {"intersection": 0, "difference": 1, "union": 2}[which]
     features = [0] * (10 + drains)
-    if not set_a:
+    if not len(set_a):
         features[1] = 1
         if drains == 2:
             features[11] = len(set_b)
         return features
-    if not set_b:
+    if not len(set_b):
         features[2] = 1
         if drains >= 1:
             features[10] = len(set_a)
         return features
     features[0] = 1
-    last_a, last_b = set_a[-1], set_b[-1]
+    last_a, last_b = int(set_a[-1]), int(set_b[-1])
     ceiling = last_a if last_a < last_b else last_b
-    in_a = ceiling == last_a or _contains(set_a, ceiling)
-    in_b = ceiling == last_b or _contains(set_b, ceiling)
-    count_a = bisect.bisect_right(set_a, ceiling)
-    count_b = bisect.bisect_right(set_b, ceiling)
-    n_both = _common_below(set_a, count_a, set_b, count_b)
+    count_a = int(np.searchsorted(set_a, ceiling, side="right"))
+    count_b = int(np.searchsorted(set_b, ceiling, side="right"))
+    in_a = count_a > 0 and set_a[count_a - 1] == ceiling
+    in_b = count_b > 0 and set_b[count_b - 1] == ceiling
+    # values in both prefixes: A's elements up to the ceiling found in B
+    n_both = int(np.count_nonzero(member[:count_a]))
     n_adva = count_a - n_both
     n_advb = count_b - n_both
     if in_a and in_b:
@@ -301,21 +274,6 @@ def scalar_set_features(which, set_a, set_b):
     if drains == 2:
         features[11] = len(set_b) - count_b
     return features
-
-
-def _contains(sorted_values, value):
-    index = bisect.bisect_left(sorted_values, value)
-    return index < len(sorted_values) and sorted_values[index] == value
-
-
-def _common_below(set_a, count_a, set_b, count_b):
-    """Distinct values present in both strictly-sorted prefixes."""
-    if _np is not None and count_a + count_b >= _NUMPY_CUTOVER:
-        return int(_np.intersect1d(
-            _np.asarray(set_a[:count_a], dtype=_np.int64),
-            _np.asarray(set_b[:count_b], dtype=_np.int64),
-            assume_unique=True).size)
-    return len(set(set_a[:count_a]) & set(set_b[:count_b]))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +335,7 @@ _SET_WALK_OPS = {"intersection": 0, "union": 1, "difference": 2}
 
 
 def eis_set_features(which, set_a, set_b, partial_load,
-                     unroll=DEFAULT_UNROLL):
+                     unroll=DEFAULT_UNROLL, member=None):
     """``([1, k, wraps, block_loads, block_stores, flush_lanes], total)``.
 
     ``k`` is the number of ``store_sop`` bundles the kernel executes
@@ -394,7 +352,9 @@ def eis_set_features(which, set_a, set_b, partial_load,
     and the other window up to that maximum, except that a union step
     whose result would overflow the 4-lane result state stops at its
     fourth distinct value.  Step result counts come from ``common``,
-    the prefix count of A elements also in B.
+    the prefix count of A elements also in B: one cumulative sum of
+    *member*, the operands' :func:`member_mask` (computed here when
+    the caller does not pass the one it priced the result with).
 
     Only ``k`` needs a walk, and it walks window ends rather than
     datapath ops.  The Load stage holds one aligned 128-bit block per
@@ -413,13 +373,20 @@ def eis_set_features(which, set_a, set_b, partial_load,
     exhausted the other drains one window per iteration, counted
     without walking.
     """
+    set_a = np.asarray(set_a, dtype=np.int64)
+    set_b = np.asarray(set_b, dtype=np.int64)
+    if member is None:
+        member = member_mask(set_a, set_b)
     op = _SET_WALK_OPS[which]
     union = op == 1
     len_a = len(set_a)
     len_b = len(set_b)
-    members = set(set_b)
-    common = list(accumulate(map(members.__contains__, set_a),
-                             initial=0))
+    common = np.concatenate(([0], np.cumsum(member)))
+    if union:  # only union steps read it inside the walk
+        common = common.tolist()
+    # the walk indexes and bisects: Python lists beat array scalars
+    set_a = set_a.tolist()
+    set_b = set_b.tolist()
     bisect_right = bisect.bisect_right
     a = b = a0 = b0 = 0  # window starts; a0/b0: where the last step began
     end_a = LANES if len_a > LANES else len_a  # window ends (exclusive)
@@ -468,7 +435,7 @@ def eis_set_features(which, set_a, set_b, partial_load,
             if b < end:
                 end = b
             end_b = end + LANES if end + LANES < len_b else len_b
-    overlap = common[a] - common[a0]
+    overlap = int(common[a] - common[a0])
     if a < len_a:  # B exhausted: A drains
         end, length = end_a, len_a
         last = op != 0
@@ -488,7 +455,7 @@ def eis_set_features(which, set_a, set_b, partial_load,
             iterations += -(-length // LANES) - end // LANES
     if last or not iterations:
         iterations += 1  # the idle iteration that ends the loop
-    overlap = common[len_a]
+    overlap = int(common[len_a])
     total = (overlap, len_a + len_b - overlap, len_a - overlap)[op]
     block_loads = -(-len_a // LANES) - (-len_b // LANES)
     return [1, iterations, (iterations - 1) // unroll, block_loads,
@@ -593,17 +560,25 @@ _SET_PROBES = None
 _SORT_PROBES = None
 
 
+def _as_arrays(probe_sets):
+    """Probe corpora with every operand an int64 array, the type the
+    models and runners take."""
+    return tuple([tuple(np.asarray(operand, dtype=np.int64)
+                        for operand in args) for args in probes]
+                 for probes in probe_sets)
+
+
 def _set_probes():
     global _SET_PROBES
     if _SET_PROBES is None:
-        _SET_PROBES = _set_probe_inputs()
+        _SET_PROBES = _as_arrays(_set_probe_inputs())
     return _SET_PROBES
 
 
 def _sort_probes():
     global _SORT_PROBES
     if _SORT_PROBES is None:
-        _SORT_PROBES = _sort_probe_inputs()
+        _SORT_PROBES = _as_arrays(_sort_probe_inputs())
     return _SORT_PROBES
 
 
@@ -638,15 +613,16 @@ class CostModel:
                       unroll=DEFAULT_UNROLL):
         """Model one set kernel; ``(values, cycles, source)``.
 
-        Operands may be plain lists or NumPy arrays (the columnar
-        storage layer hands over ndarray scan results directly); the
-        kernel walk, features and calibration always see lists.  Both
-        must be strictly increasing, the kernels' contract: anything
-        else (an ``In`` leaf with repeated probe values, say) runs on
-        the ISS, whose output is then the answer.
+        The operands are int64 RID arrays (other integer sequences are
+        converted) and *values* is one.  A's membership in B is
+        computed once and gives both the result and the feature
+        walk's prefix count.  Both operands must be strictly
+        increasing, the kernels' contract: anything else (an ``In``
+        leaf with repeated probe values, say) runs on the ISS, whose
+        output is then the answer.
         """
-        set_a = _operand_list(set_a)
-        set_b = _operand_list(set_b)
+        set_a = np.asarray(set_a, dtype=np.int64)
+        set_b = np.asarray(set_b, dtype=np.int64)
         extension = _eis_extension(processor)
         if extension is not None:
             partial = bool(extension.setdp.partial_load)
@@ -657,9 +633,9 @@ class CostModel:
                                          unroll=unroll,
                                          validate_input=False)
 
-            def features(a, b, values):
-                computed, total = eis_set_features(which, a, b, partial,
-                                                   unroll)
+            def features(a, b, member, values):
+                computed, total = eis_set_features(
+                    which, a, b, partial, unroll, member)
                 if total != len(values):
                     raise _Unmodelable("walk/result count mismatch")
                 return computed
@@ -670,39 +646,38 @@ class CostModel:
                 return run_scalar_set_operation(proc, which, a, b,
                                                 validate_input=False)
 
-            def features(a, b, _values):
-                return scalar_set_features(which, a, b)
+            def features(a, b, member, _values):
+                return scalar_set_features(which, a, b, member)
 
         def model(a, b):
-            # set_result vets the operands before any feature walk
-            values = set_result(which, a, b)
-            return features(a, b, values), values
+            # member_mask vets the operands before any feature walk
+            member = member_mask(a, b)
+            values = set_result(which, a, b, member)
+            return features(a, b, member, values), values
 
         return self._execute(processor, kind, runner, model,
                              _set_probes(), (set_a, set_b))
 
     def merge_sort(self, processor, values):
-        """Model one sort kernel; ``(values, cycles, source)``.
+        """Model one sort kernel; ``(sorted values, cycles, source)``.
 
-        *values* may be a list or a NumPy array (see
-        :meth:`set_operation`); the EIS sort sorts an array without a
-        list round trip, since its features depend on the length only.
+        *values* is an int64 array (other integer sequences are
+        converted) and so is the sorted output.
         """
+        values = np.asarray(values, dtype=np.int64)
         extension = _eis_extension(processor)
         if extension is not None:
             kind = ("eis_sort",)
 
             def runner(proc, data):
-                return run_merge_sort(proc, _operand_list(data),
-                                      validate_input=False)
+                return run_merge_sort(proc, data, validate_input=False)
 
             def model(data):
-                return eis_sort_features(len(data)), sort_result(data)
+                return eis_sort_features(len(data)), np.sort(data)
         else:
             if not len(values):
                 # mirror run_scalar_merge_sort's degenerate empty run
-                return [], 0, "costmodel"
-            values = _operand_list(values)
+                return values, 0, "costmodel"
             kind = ("scalar_sort",)
 
             def runner(proc, data):
@@ -710,12 +685,12 @@ class CostModel:
                                              validate_input=False)
 
             def model(data):
-                return scalar_sort_features(data), sort_result(data)
+                return scalar_sort_features(data.tolist()), np.sort(data)
 
         probes, validation = _sort_probes()
         if extension is None:
-            probes = [p for p in probes if p[0]]
-            validation = [p for p in validation if p[0]]
+            probes = [p for p in probes if len(p[0])]
+            validation = [p for p in validation if len(p[0])]
         return self._execute(processor, kind, runner, model,
                              (probes, validation), (values,))
 
@@ -728,7 +703,8 @@ class CostModel:
     def _execute(self, processor, kind, runner, model, probe_sets, args):
         """Serve one call: ``model(*args)`` gives ``(features, values)``
         or raises :class:`_Unmodelable`; anything the calibrated model
-        cannot price runs on the ISS and counts as a fallback."""
+        cannot price runs on the ISS (``runner``, a kernel runner on
+        list operands) and counts as a fallback."""
         cycles = None
         if self.enabled and getattr(processor, "_fault_hook",
                                     None) is None:
@@ -742,12 +718,13 @@ class CostModel:
                 else:
                     cycles = _predict(coefficients, features)
         if cycles is None:
-            values, run = runner(processor, *args)
+            values, run = _run_iss(runner, processor, args)
             self.counters["fallbacks"] += 1
             return values, run.cycles, "iss"
         if self.verify:
-            iss_values, iss_run = runner(processor, *args)
-            if iss_values != values or iss_run.cycles != cycles:
+            iss_values, iss_run = _run_iss(runner, processor, args)
+            if not np.array_equal(iss_values, values) \
+                    or iss_run.cycles != cycles:
                 self.counters["mismatches"] += 1
                 self.counters["fallbacks"] += 1
                 return iss_values, iss_run.cycles, "iss"
@@ -778,7 +755,7 @@ class CostModel:
         try:
             for args in probes:
                 rows.append(model(*args)[0])
-                _values, run = runner(processor, *args)
+                _values, run = _run_iss(runner, processor, args)
                 cycles.append(run.cycles)
             solution = solve_exact(rows, cycles)
             if solution is None:
@@ -786,7 +763,7 @@ class CostModel:
             coefficients = _scale_coefficients(solution)
             for args in validation:
                 predicted = _predict(coefficients, model(*args)[0])
-                _values, run = runner(processor, *args)
+                _values, run = _run_iss(runner, processor, args)
                 if predicted != run.cycles:
                     return None
         except Exception:
@@ -794,6 +771,13 @@ class CostModel:
             # unexpected input shape) means "cannot model": fall back
             return None
         return coefficients
+
+
+def _run_iss(runner, processor, args):
+    """Run a kernel runner on the array operands *args*: the ISS reads
+    lists, and its output becomes an int64 array here."""
+    values, run = runner(processor, *[arg.tolist() for arg in args])
+    return np.array(values, dtype=np.int64), run
 
 
 _DEFAULT_MODEL = None

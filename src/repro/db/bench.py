@@ -14,6 +14,7 @@ import random
 import time
 
 from ..configs.catalog import build_processor
+from ..core.costmodel import CostModel
 from .engine import Query, QueryEngine
 from .executor import QueryExecutor
 from .predicates import Eq, In, Range
@@ -144,7 +145,10 @@ def run_bench(config="DBA_2LSU_EIS", rows=1600, queries=64, repeat=3,
     payloads against the baseline loop.  The fast path gets three
     rounds per ISS round: its rounds are an order of magnitude
     shorter, so scheduling noise needs more best-of samples to reach
-    the same confidence.
+    the same confidence.  ``costmodel_fallback_share`` is the share of
+    the timed engine's modeled kernel calls that ran on the ISS instead
+    (the demo mix's repeated ``In`` probes do, on purpose); the timed
+    rounds share one :class:`CostModel` so its counters are theirs.
     """
     table = build_demo_table(rows=rows, seed=seed)
     batch = demo_queries(table, count=queries, seed=seed + 1)
@@ -155,7 +159,7 @@ def run_bench(config="DBA_2LSU_EIS", rows=1600, queries=64, repeat=3,
     QueryEngine(config=config).execute_batch(batch)  # calibrate
 
     engine, fast_results, fast_time = _serve_rounds(
-        batch, repeat * 3, config=config, cost_model=True)
+        batch, repeat * 3, config=config, cost_model=CostModel())
     iss_engine, iss_results, iss_engine_time = _serve_rounds(
         batch, repeat, config=config, cost_model=False)
     baseline_rows, iss_time = _serve_baseline(table, batch, repeat,
@@ -169,6 +173,8 @@ def run_bench(config="DBA_2LSU_EIS", rows=1600, queries=64, repeat=3,
                      in zip(fast_results, baseline_rows))
     fast_qps = len(batch) / fast_time if fast_time else 0.0
     iss_qps = len(batch) / iss_time if iss_time else 0.0
+    model = engine.cost_model.stats()
+    modeled = model["hits"] + model["fallbacks"]
     report = {
         "schema": "repro.bench-db-engine/v1",
         "config": config,
@@ -193,6 +199,8 @@ def run_bench(config="DBA_2LSU_EIS", rows=1600, queries=64, repeat=3,
                                    if iss_engine_time else 0.0),
         },
         "speedup": fast_qps / iss_qps if iss_qps else 0.0,
+        "costmodel_fallback_share": (model["fallbacks"] / modeled
+                                     if modeled else 0.0),
         "engine_metrics": engine.metrics_snapshot(),
     }
     if shards and shards > 1:
@@ -262,7 +270,7 @@ def run_bench(config="DBA_2LSU_EIS", rows=1600, queries=64, repeat=3,
         log("  iss baseline:      %8.1f queries/s (%.4f s)"
             % (iss_qps, iss_time))
         log("  speedup:    %.1fx  (rid parity: %s, cycle parity: %s, "
-            "row parity: %s)"
+            "row parity: %s; cost-model ISS fallbacks: %.1f%%)"
             % (report["speedup"], rid_parity, cycle_parity,
-               row_parity))
+               row_parity, 100 * report["costmodel_fallback_share"]))
     return report

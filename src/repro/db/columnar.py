@@ -25,33 +25,17 @@ NumPy struct-of-arrays storage:
   scans read a parallel RID-ordered view of the column, so their
   results are born RID-sorted — no per-call ``sorted()``.
 
-Scan results cross back into the engine as plain Python lists of
-``int``: the EIS kernels, the calibrated cost model and the parity
-suites all speak sorted RID lists, and keeping the boundary type
-unchanged is what makes columnar results byte-identical to the
-row-oriented reference.
-
-The module imports without NumPy (the CI ``tests`` job runs the pure
-fallback paths); constructing a :class:`ColumnarTable` without NumPy
-raises a clear error.
+Scan results cross into the engine as strictly increasing int64
+arrays, the RID-list type the executor, the cost model and the shard
+tier share; results stay byte-identical to the row-oriented reference.
 """
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as np
 
 from ..core.common import SENTINEL
 
 #: Compact once dead rows exceed this fraction of physical storage.
 DEFAULT_COMPACT_THRESHOLD = 0.5
-
-
-def _require_numpy():
-    if _np is None:
-        raise ImportError(
-            "repro.db.columnar requires numpy; install the 'dev' extra "
-            "or use the row-oriented repro.db.table.Table")
 
 
 class DeltaBatch:
@@ -127,12 +111,11 @@ class ColumnarTable:
 
     def __init__(self, name, columns, rids=None,
                  compact_threshold=DEFAULT_COMPACT_THRESHOLD):
-        _require_numpy()
         self.name = name
         self._data = {}
         length = None
         for column_name, values in columns.items():
-            array = _np.asarray(list(values), dtype=_np.int64)
+            array = np.asarray(values, dtype=np.int64)
             if array.size and (array.min() < 0
                                or array.max() >= SENTINEL):
                 raise ValueError(
@@ -143,21 +126,21 @@ class ColumnarTable:
             elif int(array.size) != length:
                 raise ValueError("column lengths differ in table %s"
                                  % name)
-            self._data[column_name] = array.astype(_np.uint32)
+            self._data[column_name] = array.astype(np.uint32)
         length = length or 0
         if rids is None:
-            self._rids = _np.arange(length, dtype=_np.int64)
+            self._rids = np.arange(length, dtype=np.int64)
         else:
-            self._rids = _np.asarray(list(rids), dtype=_np.int64)
+            self._rids = np.array(rids, dtype=np.int64)
             if int(self._rids.size) != length:
                 raise ValueError("rid vector length does not match "
                                  "columns in table %s" % name)
-            if self._rids.size and (self._rids.min() < 0 or _np.any(
-                    _np.diff(self._rids) <= 0)):
+            if self._rids.size and (self._rids.min() < 0 or np.any(
+                    np.diff(self._rids) <= 0)):
                 raise ValueError("rids must be strictly ascending")
-        self._weights = _np.ones(length, dtype=_np.int8)
+        self._weights = np.ones(length, dtype=np.int8)
         self._next_rid = int(self._rids[-1]) + 1 if length else 0
-        self._alive = _np.zeros(self._next_rid, dtype=bool)
+        self._alive = np.zeros(self._next_rid, dtype=bool)
         self._alive[self._rids] = True
         self._live = length
         self._dead = 0
@@ -213,11 +196,11 @@ class ColumnarTable:
         return cached
 
     def all_rids(self):
-        """Sorted live RIDs as a plain list (the full-scan operand)."""
+        """Sorted live RIDs, a read-only array (the full-scan operand)."""
         cached = self._memo.get("all_rids")
         if cached is None:
-            mask = self._weights > 0
-            cached = self._rids[mask].tolist()
+            cached = self._rids[self._weights > 0]
+            cached.flags.writeable = False
             self._memo["all_rids"] = cached
         return cached
 
@@ -236,7 +219,7 @@ class ColumnarTable:
         cached = self._memo.get(key)
         if cached is None:
             rids, values = self._live_view(name)
-            cached = _np.zeros(self._next_rid, dtype=_np.int64)
+            cached = np.zeros(self._next_rid, dtype=np.int64)
             cached[rids] = values
             self._memo[key] = cached
         return cached
@@ -246,25 +229,24 @@ class ColumnarTable:
         names = list(column_names or self._data)
         if not len(rids):
             return []
-        positions = self._positions_of(_np.asarray(list(rids),
-                                                   dtype=_np.int64))
+        positions = self._positions_of(np.asarray(rids, dtype=np.int64))
         columns = [self._data[name][positions].tolist()
                    for name in names]
         return [dict(zip(names, row)) for row in zip(*columns)]
 
     def _positions_of(self, rids):
         """Physical positions of live *rids*; KeyError on misses."""
-        positions = _np.searchsorted(self._rids, rids)
+        positions = np.searchsorted(self._rids, rids)
         valid = positions < self._rids.size
         if not valid.all():
             raise KeyError("table %s has no live row %d" % (
-                self.name, int(rids[_np.argmin(valid)])))
+                self.name, int(rids[np.argmin(valid)])))
         hit = self._rids[positions] == rids
         live = self._weights[positions] > 0
         ok = hit & live
         if not ok.all():
             raise KeyError("table %s has no live row %d" % (
-                self.name, int(rids[int(_np.argmin(ok))])))
+                self.name, int(rids[int(np.argmin(ok))])))
         return positions
 
     # -- indexes -----------------------------------------------------
@@ -303,43 +285,43 @@ class ColumnarTable:
             raise ValueError("delta inserts must carry full rows of "
                              "table %s" % self.name)
         if batch.insert_rids is not None:
-            new_rids = _np.asarray(batch.insert_rids, dtype=_np.int64)
+            new_rids = np.asarray(batch.insert_rids, dtype=np.int64)
             if new_rids.size and int(new_rids[0]) < self._next_rid:
                 raise ValueError("pre-assigned insert rids collide "
                                  "with table %s rid space" % self.name)
         else:
-            new_rids = _np.arange(self._next_rid,
-                                  self._next_rid + count,
-                                  dtype=_np.int64)
+            new_rids = np.arange(self._next_rid,
+                                 self._next_rid + count,
+                                 dtype=np.int64)
         insert_columns = {}
         for column_name, values in batch.inserts.items():
-            array = _np.asarray(values, dtype=_np.int64)
+            array = np.asarray(values, dtype=np.int64)
             if array.size and (array.min() < 0
                                or array.max() >= SENTINEL):
                 raise ValueError(
                     "%s.%s: values must be 32-bit below the "
                     "sentinel" % (self.name, column_name))
             insert_columns[column_name] = array
-        deletes = _np.asarray(batch.delete_rids, dtype=_np.int64)
+        deletes = np.asarray(batch.delete_rids, dtype=np.int64)
 
-        ghost_mask = _np.isin(deletes, new_rids)
+        ghost_mask = np.isin(deletes, new_rids)
         ghosts = deletes[ghost_mask]
         deletes = deletes[~ghost_mask]
         deletes.sort()
-        keep = ~_np.isin(new_rids, ghosts)
+        keep = ~np.isin(new_rids, ghosts)
         eff_rids = new_rids[keep]
         eff_columns = {name: values[keep]
                        for name, values in insert_columns.items()}
 
         positions = (self._positions_of(deletes) if deletes.size
-                     else _np.empty(0, dtype=_np.int64))
+                     else np.empty(0, dtype=np.int64))
 
         touched = {}
         for name in self._data:
-            parts = [self._data[name][positions].astype(_np.int64)]
+            parts = [self._data[name][positions].astype(np.int64)]
             if name in eff_columns:
                 parts.append(eff_columns[name])
-            touched[name] = _np.unique(_np.concatenate(parts))
+            touched[name] = np.unique(np.concatenate(parts))
 
         # Retract: weight -> 0 tombstones, physical removal deferred.
         if deletes.size:
@@ -351,12 +333,12 @@ class ColumnarTable:
         # is above everything previously assigned.
         if eff_rids.size:
             for name in self._data:
-                self._data[name] = _np.concatenate(
+                self._data[name] = np.concatenate(
                     [self._data[name],
-                     eff_columns[name].astype(_np.uint32)])
-            self._rids = _np.concatenate([self._rids, eff_rids])
-            self._weights = _np.concatenate(
-                [self._weights, _np.ones(eff_rids.size, dtype=_np.int8)])
+                     eff_columns[name].astype(np.uint32)])
+            self._rids = np.concatenate([self._rids, eff_rids])
+            self._weights = np.concatenate(
+                [self._weights, np.ones(eff_rids.size, dtype=np.int8)])
             self._live += int(eff_rids.size)
         if count:
             # Ghost rows still consume RID space: the workload
@@ -364,7 +346,7 @@ class ColumnarTable:
             self._next_rid = max(self._next_rid,
                                  int(new_rids[-1]) + 1)
         if self._next_rid > self._alive.size:
-            grown = _np.zeros(self._next_rid, dtype=bool)
+            grown = np.zeros(self._next_rid, dtype=bool)
             grown[:self._alive.size] = self._alive
             grown[eff_rids] = True
             self._alive = grown
@@ -395,7 +377,7 @@ class ColumnarTable:
         for name in self._data:
             self._data[name] = self._data[name][mask]
         self._rids = self._rids[mask]
-        self._weights = _np.ones(self._rids.size, dtype=_np.int8)
+        self._weights = np.ones(self._rids.size, dtype=np.int8)
         self._dead = 0
         self.compactions += 1
         self._memo = {}
@@ -409,11 +391,11 @@ class ColumnarTable:
         shard-local scan results are already global and partition
         parity is positional-mapping-free.
         """
-        rid_array = _np.asarray(list(rids), dtype=_np.int64)
-        order = _np.argsort(rid_array, kind="stable")
+        rid_array = np.asarray(rids, dtype=np.int64)
+        order = np.argsort(rid_array, kind="stable")
         rid_array = rid_array[order]
         positions = (self._positions_of(rid_array) if rid_array.size
-                     else _np.empty(0, dtype=_np.int64))
+                     else np.empty(0, dtype=np.int64))
         columns = {column_name: values[positions]
                    for column_name, values in self._data.items()}
         return ColumnarTable(name, columns, rids=rid_array,
@@ -449,8 +431,8 @@ class ColumnarIndex:
         mask = self._table._weights > 0
         values = self._table._data[self.column_name][mask]
         rids = self._table._rids[mask]
-        order = _np.argsort(values, kind="stable")
-        self._keys = values[order].astype(_np.int64)
+        order = np.argsort(values, kind="stable")
+        self._keys = values[order].astype(np.int64)
         self._postings = rids[order]
         self.rebuilds += 1
 
@@ -464,24 +446,22 @@ class ColumnarIndex:
         """
         if values is None or not len(rids):
             return
-        order = _np.lexsort((rids, values))
+        order = np.lexsort((rids, values))
         values = values[order]
         rids = rids[order]
-        positions = _np.searchsorted(self._keys, values, side="right")
-        self._keys = _np.insert(self._keys, positions, values)
-        self._postings = _np.insert(self._postings, positions, rids)
+        positions = np.searchsorted(self._keys, values, side="right")
+        self._keys = np.insert(self._keys, positions, values)
+        self._postings = np.insert(self._postings, positions, rids)
         self.delta_merges += 1
 
     def _live(self, rids):
         return rids[self._table._alive[rids]]
 
     def scan_eq(self, value):
-        """RIDs of rows where column == value (sorted list)."""
-        start = _np.searchsorted(self._keys, value, side="left")
-        end = _np.searchsorted(self._keys, value, side="right")
-        if start == end:
-            return []
-        return self._live(self._postings[start:end]).tolist()
+        """RIDs of rows where column == value (sorted array)."""
+        start = np.searchsorted(self._keys, value, side="left")
+        end = np.searchsorted(self._keys, value, side="right")
+        return self._live(self._postings[start:end])
 
     def scan_range(self, low=None, high=None):
         """RIDs where low <= column <= high, born RID-sorted.
@@ -490,12 +470,12 @@ class ColumnarIndex:
         postings, so no sort is needed at any size.
         """
         rids, values = self._table._live_view(self.column_name)
-        mask = _np.ones(values.size, dtype=bool)
+        mask = np.ones(values.size, dtype=bool)
         if low is not None:
             mask &= values >= low
         if high is not None:
             mask &= values <= high
-        return rids[mask].tolist()
+        return rids[mask]
 
     def scan_in(self, values):
         """RIDs where column is in *values*, born RID-sorted.
@@ -506,24 +486,23 @@ class ColumnarIndex:
         values = list(values)
         rids, live_values = self._table._live_view(self.column_name)
         if len(values) == len(set(values)):
-            mask = _np.isin(live_values, _np.asarray(values,
-                                                     dtype=_np.int64))
-            return rids[mask].tolist()
+            mask = np.isin(live_values, np.asarray(values,
+                                                   dtype=np.int64))
+            return rids[mask]
         # Duplicate probe values replicate their matches (reference
         # semantics): count multiplicity per probe value.
-        out = []
         counts = {}
         for value in values:
             counts[value] = counts.get(value, 0) + 1
-        masks = _np.zeros(live_values.size, dtype=_np.int64)
+        masks = np.zeros(live_values.size, dtype=np.int64)
         for value, multiplicity in counts.items():
             masks += multiplicity * (live_values == value)
-        return _np.repeat(rids, masks).tolist()
+        return np.repeat(rids, masks)
 
     def count_eq(self, value):
         """Exact matching-row count (tombstones excluded)."""
-        start = _np.searchsorted(self._keys, value, side="left")
-        end = _np.searchsorted(self._keys, value, side="right")
+        start = np.searchsorted(self._keys, value, side="left")
+        end = np.searchsorted(self._keys, value, side="right")
         if start == end:
             return 0
         return int(self._table._alive[
@@ -533,9 +512,9 @@ class ColumnarIndex:
         """Exact matching-row count for a range probe."""
         keys = self._keys
         start = 0 if low is None else int(
-            _np.searchsorted(keys, low, side="left"))
+            np.searchsorted(keys, low, side="left"))
         end = keys.size if high is None else int(
-            _np.searchsorted(keys, high, side="right"))
+            np.searchsorted(keys, high, side="right"))
         if start >= end:
             return 0
         return int(self._table._alive[
@@ -543,7 +522,7 @@ class ColumnarIndex:
 
     def distinct_values(self):
         rids, values = self._table._live_view(self.column_name)
-        return _np.unique(values).tolist()
+        return np.unique(values).tolist()
 
     def __repr__(self):
         return "<ColumnarIndex %s: %d postings, %d merges>" % (
@@ -563,16 +542,16 @@ def delta_mask(predicate, columns):
         return columns[predicate.column] == predicate.value
     if kind == "Range":
         values = columns[predicate.column]
-        mask = _np.ones(values.size, dtype=bool)
+        mask = np.ones(values.size, dtype=bool)
         if predicate.low is not None:
             mask &= values >= predicate.low
         if predicate.high is not None:
             mask &= values <= predicate.high
         return mask
     if kind == "In":
-        return _np.isin(columns[predicate.column],
-                        _np.asarray(list(predicate.values),
-                                    dtype=_np.int64))
+        return np.isin(columns[predicate.column],
+                       np.asarray(list(predicate.values),
+                                  dtype=np.int64))
     if kind == "And":
         return delta_mask(predicate.left, columns) \
             & delta_mask(predicate.right, columns)
@@ -600,13 +579,13 @@ def signature_affected(sig, touched):
         values = touched.get(column)
         if values is None or not values.size:
             return False
-        return bool(_np.isin(value, values, assume_unique=False))
+        return bool(np.isin(value, values, assume_unique=False))
     if kind == "range":
         _kind, column, low, high = sig
         values = touched.get(column)
         if values is None or not values.size:
             return False
-        mask = _np.ones(values.size, dtype=bool)
+        mask = np.ones(values.size, dtype=bool)
         if low is not None:
             mask &= values >= low
         if high is not None:
@@ -617,9 +596,9 @@ def signature_affected(sig, touched):
         values = touched.get(column)
         if values is None or not values.size:
             return False
-        return bool(_np.isin(_np.asarray(list(members),
-                                         dtype=_np.int64),
-                             values).any())
+        return bool(np.isin(np.asarray(list(members),
+                                       dtype=np.int64),
+                            values).any())
     # Combinator: ("and"|"or"|"andnot", left_sig, right_sig).
     return signature_affected(sig[1], touched) \
         or signature_affected(sig[2], touched)

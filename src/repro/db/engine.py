@@ -12,7 +12,8 @@ rather than single microbenchmarks:
   leaf-predicate signature) across the engine's lifetime;
 * **common-subexpression reuse** — identical predicate subtrees
   within one batch are evaluated once, and the cycles the reuse
-  avoided are tracked as ``db.engine.cycles_saved``;
+  avoided are tracked as ``db.engine.cycles_saved``; both caches hold
+  read-only int64 RID arrays and hand them out without copying;
 * **executor pool** — batches can fan out across worker processes via
   :mod:`repro.supervisor` (each worker builds its own processor and
   executor, the same crash-isolation infrastructure the experiment
@@ -29,13 +30,13 @@ baseline, and the differential suite's reference).
 import time
 from contextlib import nullcontext
 
+import numpy as np
+
 from ..configs.catalog import build_processor
 from ..core.costmodel import CostModel, default_cost_model
 from ..supervisor import Task, supervise
 from ..telemetry.querytrace import QueryTracer
 from ..telemetry.registry import MetricsRegistry
-# The columnar module imports without numpy; only constructing a
-# ColumnarTable (and therefore reaching these helpers) requires it.
 from .columnar import delta_mask, signature_affected
 from .executor import QueryExecutor, QueryStats, _merge_stats
 from .planlint import lint_query_or_raise
@@ -91,7 +92,7 @@ class StandingQuery:
 
     def __init__(self, query, rids):
         self.query = query
-        self.rids = list(rids)
+        self.rids = rids.tolist()
         self._members = set(self.rids)
 
     def _fold(self, added, removed):
@@ -174,8 +175,8 @@ class QueryEngine:
         self._standing_count = scope.gauge("standing.registered")
         self._standing_updates = scope.counter("standing.updates")
         self._standing_scanned = scope.counter("standing.rows_scanned")
-        #: (id(table), signature) -> RID list; tables are pinned so
-        #: the id() keys stay unique for the engine's lifetime.
+        #: (id(table), signature) -> read-only RID array; tables are
+        #: pinned so the id() keys stay unique for the engine's lifetime.
         self._scan_cache = {}
         self._pinned_tables = {}
         #: id(table) -> [StandingQuery, ...]
@@ -355,7 +356,7 @@ class QueryEngine:
                   if tracer is not None else nullcontext()):
                 rows = table.fetch(rids, query.columns)
         self._account(stats, len(rows))
-        return QueryResult(rows, rids, stats)
+        return QueryResult(rows, rids.tolist(), stats)
 
     def _evaluate(self, table, predicate, stats, cse, tracer=None,
                   index=0):
@@ -367,16 +368,16 @@ class QueryEngine:
                 self._scan_hits.add(1)
                 if tracer is not None:
                     with tracer.span("scan.cached", query=index):
-                        return list(cached)
-                return list(cached)
+                        return cached
+                return cached
             scan = tracer.span("scan", query=index) \
                 if tracer is not None else nullcontext()
             with scan:
-                rids = predicate.scan(table)
+                rids = _read_only(predicate.scan(table))
             self._pinned_tables[id(table)] = table
             self._scan_cache[key] = rids
             self._scan_misses.add(1)
-            return list(rids)
+            return rids
         if not isinstance(predicate, Combinator):
             raise TypeError("not a predicate: %r" % (predicate,))
         key = (id(table), signature(predicate))
@@ -389,8 +390,8 @@ class QueryEngine:
                 if tracer is not None:
                     with tracer.span("cse", query=index,
                                      cycles_avoided=avoided):
-                        return list(rids)
-                return list(rids)
+                        return rids
+                return rids
         before = stats.cycles
         left = self._evaluate(table, predicate.left, stats, cse,
                               tracer, index)
@@ -400,15 +401,15 @@ class QueryEngine:
         by_source_before = dict(stats.cycles_by_source)
         with (tracer.span(name, query=index)
               if tracer is not None else nullcontext()):
-            rids = self.executor.set_operation(predicate.operation,
-                                               left, right, stats)
+            rids = _read_only(self.executor.set_operation(
+                predicate.operation, left, right, stats))
         if tracer is not None:
             delta = {source: cycles - by_source_before.get(source, 0)
                      for source, cycles
                      in stats.cycles_by_source.items()}
             self._record_cycles(tracer, name, delta, index)
         if cse is not None:
-            cse[key] = (list(rids), stats.cycles - before)
+            cse[key] = (rids, stats.cycles - before)
         return rids
 
     def _record_cycles(self, tracer, name, by_source, index):
@@ -553,6 +554,14 @@ class QueryEngine:
             self.config_name, self.cost_model is not None)
 
 
+def _read_only(rids):
+    """*rids* as a read-only int64 array: the scan cache and CSE hand
+    the same array to every later hit, so no holder may write to it."""
+    rids = np.asarray(rids, dtype=np.int64)
+    rids.flags.writeable = False
+    return rids
+
+
 def _serve_worker_chunk(spec):
     """Worker-process entry: rebuild engine state, serve the chunk.
 
@@ -596,7 +605,7 @@ def _serve_worker_chunk(spec):
         # limits are preserved exactly.
         global_rids = spec["tables"][table_id].get("rids")
         rids = result.rids if global_rids is None \
-            else [global_rids[rid] for rid in result.rids]
+            else global_rids[result.rids].tolist()
         payloads.append((result.rows, rids, result.stats))
     return {
         "results": payloads,

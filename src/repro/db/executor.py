@@ -20,12 +20,12 @@ Two execution paths produce those cycle counts:
 
 :class:`QueryStats` attributes cycles to their source (``iss`` vs
 ``costmodel``) so mixed-path runs stay auditable.
+
+RID lists are int64 arrays throughout (other integer sequences are
+converted on entry); only the ISS kernel runners read Python lists.
 """
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as np
 
 from ..core.kernels import run_merge_sort, run_set_operation
 from ..core.scalar_kernels import (run_scalar_merge_sort,
@@ -34,6 +34,10 @@ from .predicates import Combinator, Leaf, validate_indexes
 
 #: Bit budget for ORDER BY key/RID packing: key << RID_BITS | rid.
 RID_BITS = 12
+
+#: The empty RID list (read-only, so it can be shared).
+NO_RIDS = np.empty(0, dtype=np.int64)
+NO_RIDS.flags.writeable = False
 
 
 class QueryStats:
@@ -120,14 +124,15 @@ class QueryExecutor:
         without charging cycles — identically on the ISS and the
         cost-model paths, so the two stay differentially comparable).
         """
-        if len(left) == 0 or len(right) == 0:
-            # len() instead of truthiness: operands may be ndarrays.
+        left = np.asarray(left, dtype=np.int64)
+        right = np.asarray(right, dtype=np.int64)
+        if not len(left) or not len(right):
             stats.short_circuits += 1
             if which == "intersection":
-                return []
+                return NO_RIDS
             if which == "union":
-                return list(left) if len(left) else list(right)
-            return list(left)  # difference: A - empty = A, empty - B = []
+                return left if len(left) else right
+            return left  # difference: A - empty = A, empty - B = []
         if which == "intersection" and len(right) < len(left):
             # index-ANDing order: smaller list first (Raman et al.)
             left, right = right, left
@@ -142,11 +147,11 @@ class QueryExecutor:
         return result
 
     def _set_operation(self, which, left, right):
-        if self._has_eis:
-            return run_set_operation(self.processor, which, left,
-                                     right, validate_input=False)
-        return run_scalar_set_operation(self.processor, which, left,
-                                        right, validate_input=False)
+        run = run_set_operation if self._has_eis \
+            else run_scalar_set_operation
+        values, run_result = run(self.processor, which, left.tolist(),
+                                 right.tolist(), validate_input=False)
+        return np.array(values, dtype=np.int64), run_result
 
     # -- ORDER BY -------------------------------------------------------------
 
@@ -158,21 +163,14 @@ class QueryExecutor:
         whole rows — the standard key/pointer packing used with
         hardware sorters.  Requires ``row_count <= 4096`` and keys
         below ``2**19`` (dictionary-encode larger domains first).
-
-        Columnar tables pack the RID list as one int64 array, which
-        the sort hands back as the sorted list: one list-to-array and
-        one array-to-list pass.
         """
         stats = QueryStats()
         if len(rids) == 0:
-            return [], stats
+            return NO_RIDS, stats
         sorted_packed, stats = self.sort_packed(
-            self._pack(table, rids, key_column), stats)
-        mask = (1 << RID_BITS) - 1
-        ordered = [value & mask for value in sorted_packed]
-        if descending:
-            ordered.reverse()
-        return ordered, stats
+            self.pack_rids(table, rids, key_column), stats)
+        ordered = sorted_packed & ((1 << RID_BITS) - 1)
+        return (ordered[::-1] if descending else ordered), stats
 
     def pack_rids(self, table, rids, key_column):
         """``key << RID_BITS | rid`` packed words for a RID list.
@@ -181,38 +179,28 @@ class QueryExecutor:
         shard and sorts the pieces in parallel, so packing and sorting
         are separate steps.
         """
-        packed = self._pack(table, rids, key_column)
-        return packed if isinstance(packed, list) else packed.tolist()
-
-    def _pack(self, table, rids, key_column):
-        """Packed words: a list for row tables, an int64 array for
-        columnar ones."""
         if table.rid_limit() > (1 << RID_BITS):
             raise ValueError(
                 "ORDER BY packing supports up to %d rows; shard or "
                 "widen RID_BITS" % (1 << RID_BITS))
         shifted = self._shifted_keys(table, key_column)
-        if isinstance(shifted, list):
-            return [shifted[rid] | rid for rid in rids]
         # rid < 2**RID_BITS and the shifted key is a multiple of it
-        rid_array = _np.asarray(rids, dtype=_np.int64)
-        return shifted[rid_array] | rid_array
+        rids = np.asarray(rids, dtype=np.int64)
+        return shifted[rids] | rids
 
     def sort_packed(self, packed, stats=None):
-        """Cycle-accounted merge sort of pre-packed key/RID words
-        (a list, or an int64 array from a columnar table)."""
+        """Cycle-accounted merge sort of pre-packed key/RID words."""
         if stats is None:
             stats = QueryStats()
+        packed = np.asarray(packed, dtype=np.int64)
         if len(packed) == 0:
-            return [], stats
+            return NO_RIDS, stats
         stats.sort_operations += 1
         if self.cost_model is not None:
             sorted_packed, cycles, source = self.cost_model.merge_sort(
                 self.processor, packed)
             stats.add_cycles(cycles, source)
         else:
-            if not isinstance(packed, list):
-                packed = packed.tolist()
             sorted_packed, run_result = self._sort(packed)
             stats.add_run(run_result, "iss")
         return sorted_packed, stats
@@ -232,28 +220,20 @@ class QueryExecutor:
             # so a delta naturally rotates this cache entry too.
             return cached[1]
         key_bits = 32 - RID_BITS - 1  # keep below the sentinel
-        limit = 1 << key_bits
-        if isinstance(keys, list):
-            if keys and max(keys) >= limit:
-                raise ValueError(
-                    "ORDER BY keys must be below 2**%d; dictionary-"
-                    "encode the column" % key_bits)
-            shifted = [key << RID_BITS for key in keys]
-        else:
-            if len(keys) and int(keys.max()) >= limit:
-                raise ValueError(
-                    "ORDER BY keys must be below 2**%d; dictionary-"
-                    "encode the column" % key_bits)
-            shifted = keys << RID_BITS
+        shifted = np.asarray(keys, dtype=np.int64)
+        if len(shifted) and int(shifted.max()) >= 1 << key_bits:
+            raise ValueError(
+                "ORDER BY keys must be below 2**%d; dictionary-"
+                "encode the column" % key_bits)
+        shifted = shifted << RID_BITS
         self._packed_key_cache[cache_key] = (keys, shifted)
         return shifted
 
     def _sort(self, values):
-        if self._has_eis:
-            return run_merge_sort(self.processor, values,
-                                  validate_input=False)
-        return run_scalar_merge_sort(self.processor, values,
-                                     validate_input=False)
+        run = run_merge_sort if self._has_eis else run_scalar_merge_sort
+        output, run_result = run(self.processor, values.tolist(),
+                                 validate_input=False)
+        return np.array(output, dtype=np.int64), run_result
 
     # -- full query -----------------------------------------------------------
 

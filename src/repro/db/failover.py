@@ -7,34 +7,35 @@ surviving work, an integrity check on every RID list that crosses the
 modeled interconnect, and a per-shard circuit breaker so a dead
 primary stops eating the deadline budget of every query.
 
-All three are deliberately dependency-free value types — the engine
-composes them, the chaos harness (:mod:`repro.faults.db`) attacks
-them, and the tests exercise them in isolation.
+All three are self-contained value types — the engine composes them,
+the chaos harness (:mod:`repro.faults.db`) attacks them, and the tests
+exercise them in isolation.
 """
 
 import zlib
-from array import array
+
+import numpy as np
 
 #: Circuit breaker states, in ``db.shard.<i>.breaker.state`` gauge
 #: encoding order: closed = 0, open = 1, half-open = 2.
 BREAKER_STATES = ("closed", "open", "half_open")
 
-_M32 = 0xFFFFFFFF
-
 
 def rid_checksum(rids):
     """Order-sensitive 32-bit checksum of a sorted global RID list.
 
-    CRC-32 over the little-endian 32-bit words of the list.  The
-    *sender* computes it before the response crosses the (corruptible)
-    channel; the coordinator recomputes on delivery.  Any single
-    dropped, flipped, or injected RID changes the value, so corruption
-    is *detected* and handled (retransmit, then failover) instead of
+    CRC-32 over the little-endian 32-bit words of the list (an int64
+    array or a list; each RID taken modulo ``2**32``).  The *sender*
+    computes it before the response crosses the (corruptible) channel;
+    the coordinator recomputes on delivery.  Any single dropped,
+    flipped, or injected RID changes the value, so corruption is
+    *detected* and handled (retransmit, then failover) instead of
     silently merged into the answer.
     """
-    if not rids:
+    if not len(rids):
         return 0
-    return zlib.crc32(array("I", [rid & _M32 for rid in rids]).tobytes())
+    return zlib.crc32(
+        np.asarray(rids, dtype=np.int64).astype("<u4").tobytes())
 
 
 class ShardError(RuntimeError):

@@ -83,7 +83,8 @@ class HashPartitioner(Partitioner):
     def assign(self, table):
         shards = self.shards
         if self.column is None:
-            return [_mix32(rid) % shards for rid in table.all_rids()]
+            return [_mix32(rid) % shards
+                    for rid in table.all_rids().tolist()]
         return [_mix32(value) % shards
                 for value in table.column(self.column)]
 
@@ -150,7 +151,7 @@ class RangePartitioner(Partitioner):
         # lands existing rows exactly where assign() put them and new
         # (higher) RIDs in the last shard.
         assignments = self.assign(table)
-        all_rids = table.all_rids()
+        all_rids = table.all_rids().tolist()
         rid_bounds = []
         previous = -1
         for position, shard_id in enumerate(assignments):
@@ -180,10 +181,10 @@ def make_partitioner(kind, shards, column=None):
 class TableShard:
     """One partition: a sub-table plus its local-to-global RID map.
 
-    ``global_rids[local_rid]`` is strictly ascending by construction
-    (rows are appended in global RID order), so mapping a sorted local
-    RID list yields a sorted global RID list — the operand format of
-    the EIS set instructions the gather reduce runs on.
+    ``global_rids[local_rid]`` (an int64 array) is strictly ascending
+    by construction (rows are appended in global RID order), so mapping
+    a sorted local RID array yields a sorted global one — the operand
+    format of the EIS set instructions the gather reduce runs on.
 
     ``global_rids`` is ``None`` for columnar shards: their sub-tables
     keep the parent's global RIDs directly (sparse RID space), so
@@ -204,16 +205,15 @@ class TableShard:
 
     def to_global(self, local_rids):
         """Map shard-local RIDs to global RIDs (order-preserving)."""
-        global_rids = self.global_rids
-        if global_rids is None:
-            return list(local_rids)
-        return [global_rids[rid] for rid in local_rids]
+        if self.global_rids is None:
+            return local_rids
+        return self.global_rids[local_rids]
 
     def held_rids(self):
-        """Global RIDs this shard holds (sorted)."""
+        """Global RIDs this shard holds (sorted, read-only)."""
         if self.global_rids is None:
             return self.table.all_rids()
-        return list(self.global_rids)
+        return self.global_rids
 
     def __repr__(self):
         return "<TableShard %d: %d rows>" % (self.shard_id,
@@ -244,7 +244,8 @@ def partition_table(table, partitioner):
     result = []
     for shard_id, positions in enumerate(position_lists):
         name = "%s/shard%d" % (table.name, shard_id)
-        global_rids = [all_rids[position] for position in positions]
+        global_rids = all_rids[positions]
+        global_rids.flags.writeable = False  # held_rids() hands it out
         if columnar:
             # Columnar shards keep the parent's (sparse) global RID
             # space — no local/global map to maintain under deltas.

@@ -68,12 +68,14 @@ import time
 import uuid
 from array import array
 
+import numpy as np
+
 from ..cpu.interconnect import Interconnect
 from ..supervisor import SupervisorPool, Task
 from ..telemetry.registry import MetricsRegistry
 from .columnar import DeltaBatch, signature_affected
 from .engine import QueryEngine, QueryResult
-from .executor import RID_BITS, QueryStats, _merge_stats
+from .executor import NO_RIDS, RID_BITS, QueryStats, _merge_stats
 from .failover import (BREAKER_STATES, CircuitBreaker, ShardError,
                        rid_checksum)
 from .partition import (make_partitioner, partition_table,
@@ -122,7 +124,7 @@ class _ShardCache:
     """One shard position's cross-batch WHERE cache.
 
     Maps ``(id(shard table), predicate signature)`` to a global RID
-    list.  The lists live back to back in one int64 array, addressed by
+    array.  The RIDs live back to back in one int64 buffer, addressed by
     ``(start, stop)`` spans, so a long-lived coordinator holds one
     growing buffer per shard position rather than a heap block per
     cached answer: thousands of medium-sized blocks fragment the
@@ -145,15 +147,15 @@ class _ShardCache:
         return iter(self.spans)
 
     def get(self, key):
-        """The RID list cached under *key* (a fresh list), or ``None``."""
+        """The RID array cached under *key* (a fresh copy), or ``None``."""
         span = self.spans.get(key)
         if span is None:
             return None
-        return self.rids[span[0]:span[1]].tolist()
+        return np.frombuffer(self.rids[span[0]:span[1]], dtype=np.int64)
 
     def put(self, key, rids):
         start = len(self.rids)
-        self.rids.extend(rids)
+        self.rids.frombytes(np.asarray(rids, dtype=np.int64).tobytes())
         self.spans[key] = (start, len(self.rids))
 
     def drop(self, keys):
@@ -433,7 +435,7 @@ class ShardedEngine:
         if owners is None:
             owners = {}
             for position, shard in enumerate(shards):
-                for rid in shard.held_rids():
+                for rid in shard.held_rids().tolist():
                     owners[rid] = position
             self._rid_owners[key] = owners
         applied = self.coordinator.apply_delta(table, batch)
@@ -596,7 +598,7 @@ class ShardedEngine:
                         "query %d: shard(s) %s failed after failover"
                         % (index, ", ".join(str(position) for position
                                             in shards_failed)),
-                        outcomes=attempts, survivors=rids,
+                        outcomes=attempts, survivors=rids.tolist(),
                         shard=shards_failed[0], query_index=index)
                 self._fault["degraded"].add(1)
         tail_before = stats.cycles
@@ -623,7 +625,7 @@ class ShardedEngine:
         makespan = (max(shard_cycles) if shard_cycles else 0) \
             + gather_cycles + transfer_cycles + tail_cycles
         self._account(stats, len(rows), makespan, skipped)
-        return ShardedResult(rows, rids, stats, shard_cycles,
+        return ShardedResult(rows, rids.tolist(), stats, shard_cycles,
                              makespan, gather_cycles, transfer_cycles,
                              skipped, complete=not shards_failed,
                              shards_failed=shards_failed,
@@ -682,9 +684,9 @@ class ShardedEngine:
         executor = self.coordinator.executor
         sort_cycle_map = {}
         merge_stats = QueryStats()
-        merged = []
+        merged = NO_RIDS
         for position, rids in per_shard:
-            if not rids:
+            if not len(rids):
                 continue
             packed = executor.pack_rids(table, rids, query.order_by)
             shard_sorted, shard_stats = \
@@ -697,11 +699,9 @@ class ShardedEngine:
             self._sort_merges.add(1)
         _merge_stats(stats, merge_stats)
         self._sort_merge_cycles.add(merge_stats.cycles)
-        mask = (1 << RID_BITS) - 1
-        ordered = [value & mask for value in merged]
-        if query.descending:
-            ordered.reverse()
-        return ordered, sort_cycle_map
+        ordered = merged & ((1 << RID_BITS) - 1)
+        return (ordered[::-1] if query.descending else ordered), \
+            sort_cycle_map
 
     def _serve_shard(self, position, hosts, shard, predicate, sig, cse,
                      tracer, index, payload, deadline):
@@ -879,7 +879,6 @@ class ShardedEngine:
             return ("killed", None, None, 0)
         if payload is not None:
             rids, checksum, stats = payload
-            rids = list(rids)
         else:
             engine = self.shard_engines[host]
             shard_cse = cse[position] if cse is not None else None
@@ -929,7 +928,7 @@ class ShardedEngine:
         skipped = 0
         failovers = 0
         shards_failed = []
-        merged = []
+        merged = NO_RIDS
         for position, entry in enumerate(per_shard):
             scope = self._shard_scopes[position]
             if entry[0] == "skipped":
@@ -950,7 +949,7 @@ class ShardedEngine:
             scope["rows"].add(len(rids))
             shard_cycles[position] = charged
             _merge_stats(combined, stats)
-            if rids:
+            if len(rids):
                 cycles = self.interconnect.transfer_cycles(
                     RID_BYTES * len(rids))
                 gather_stats.add_cycles(cycles, "interconnect")

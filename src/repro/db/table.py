@@ -8,10 +8,13 @@ pose WHERE/ORDER BY queries whose heavy lifting — RID-list set algebra
 and sorting — runs on the database processor.
 
 Values are 32-bit unsigned integers (the paper's element type); strings
-or other domains are assumed dictionary-encoded upstream.
+or other domains are assumed dictionary-encoded upstream.  RID lists
+are read-only int64 arrays, as everywhere in the engine.
 """
 
 import bisect
+
+import numpy as np
 
 from ..core.common import SENTINEL
 
@@ -71,12 +74,12 @@ class Table:
         pairs = [(name, self.columns[name])
                  for name in (column_names or self.columns)]
         return [{name: values[rid] for name, values in pairs}
-                for rid in rids]
+                for rid in np.asarray(rids, dtype=np.int64).tolist()]
 
     def all_rids(self):
         """Sorted live RIDs (dense ``0..row_count`` here; the columnar
         table's RID space is sparse, so full scans go through this)."""
-        return list(range(self.row_count))
+        return np.arange(self.row_count, dtype=np.int64)
 
     def rid_limit(self):
         """Exclusive upper bound of the RID space (= rows here)."""
@@ -94,7 +97,7 @@ class Table:
 class SecondaryIndex:
     """Value -> sorted RID list, supporting equality and range scans.
 
-    Scans return strictly-sorted RID lists, the operand format of the
+    Scans return strictly-sorted RID arrays, the operand format of the
     EIS set instructions.
 
     The index is a clustered postings layout: one array of (value, rid)
@@ -108,7 +111,10 @@ class SecondaryIndex:
     def __init__(self, column_name, values):
         self.column_name = column_name
         pairs = sorted((value, rid) for rid, value in enumerate(values))
-        self._rids = [rid for _value, rid in pairs]
+        self._rids = np.array([rid for _value, rid in pairs],
+                              dtype=np.int64)
+        # scans hand out views of this array
+        self._rids.flags.writeable = False
         keys = []
         offsets = []
         previous = None
@@ -137,24 +143,19 @@ class SecondaryIndex:
     def scan_range(self, low=None, high=None):
         """RIDs of rows where low <= column <= high (inclusive).
 
-        The slice is a concatenation of RID-ascending per-key runs;
-        Timsort's natural-run detection makes ``sorted`` an O(n log k)
-        galloping merge of those runs in C (measurably faster than a
-        Python-level ``heapq.merge``).  A single-key span skips the
-        sort entirely.  The columnar index avoids the merge outright —
-        its scans are born RID-ordered.
+        The slice is a concatenation of RID-ascending per-key runs,
+        which a stable sort merges; a single-key span skips the sort
+        entirely.  The columnar index avoids the merge outright — its
+        scans are born RID-ordered.
         """
         keys = self._sorted_keys
         first = 0 if low is None else bisect.bisect_left(keys, low)
         last = len(keys) if high is None else bisect.bisect_right(keys,
                                                                   high)
         if first >= last:
-            return []
-        if last - first == 1:
-            return self._rids[self._offsets[first]:
-                              self._offsets[first + 1]]
-        return sorted(self._rids[self._offsets[first]:
-                                 self._offsets[last]])
+            return self._rids[:0]
+        span = self._rids[self._offsets[first]:self._offsets[last]]
+        return span if last - first == 1 else np.sort(span, kind="stable")
 
     def count_eq(self, value):
         """Matching-row count of ``scan_eq`` without materializing."""
@@ -179,16 +180,15 @@ class SecondaryIndex:
     def scan_in(self, values):
         """RIDs of rows where column is in *values*.
 
-        The concatenated per-value runs are each RID-ascending, so
-        ``sorted`` reduces to Timsort's C-level run merge (see
-        :meth:`scan_range`); duplicate probe values still replicate
-        their matches, as before.
+        The concatenated per-value runs are each RID-ascending, so a
+        stable sort merges them (see :meth:`scan_range`); duplicate
+        probe values still replicate their matches, as before.
         """
-        rids = []
+        spans = [self._rids[:0]]
         for value in values:
             start, end = self._key_span(value)
-            rids.extend(self._rids[start:end])
-        return sorted(rids)
+            spans.append(self._rids[start:end])
+        return np.sort(np.concatenate(spans), kind="stable")
 
     def distinct_values(self):
         return list(self._sorted_keys)

@@ -79,6 +79,7 @@ def run(set_size=5000, sort_size=6500, selectivity=0.5, seed=42,
             if model is not None:
                 values, cycles, _source = model.set_operation(
                     processor, which, set_a, set_b)
+                values = values.tolist()
             elif partial is None:
                 values, run_result = run_scalar_set_operation(
                     processor, which, set_a, set_b)
@@ -95,6 +96,7 @@ def run(set_size=5000, sort_size=6500, selectivity=0.5, seed=42,
         if model is not None:
             values, cycles, _source = model.merge_sort(processor,
                                                        sort_values)
+            values = values.tolist()
         elif partial is None:
             values, run_result = run_scalar_merge_sort(processor,
                                                        sort_values)

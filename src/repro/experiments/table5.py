@@ -41,6 +41,7 @@ def run(sort_size=6500, swsort_sample=8192, seed=42,
         from ..core.costmodel import default_cost_model
         output, cycles, _source = default_cost_model().merge_sort(
             processor, values)
+        output = output.tolist()
     else:
         output, run_result = run_merge_sort(processor, values)
         cycles = run_result.cycles

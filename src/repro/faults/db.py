@@ -37,6 +37,8 @@ timing is modeled cycles, and wall-clock never enters the report.
 
 import random
 
+import numpy as np
+
 from .plan import M32, Fault, FaultPlan
 
 #: Outcome classes, in report order.
@@ -224,13 +226,14 @@ class DbFaultInjector:
         """Pass a RID list through the response channel.
 
         Returns ``(rids, mutated)``; a corruption fault keyed on this
-        (shard, query) mutates the list once.  No-op mutations (e.g.
-        dropping from an empty list) do not count as fired.
+        (shard, query) mutates the RIDs once, returning them as a list.
+        No-op mutations (e.g. dropping from an empty list) do not count
+        as fired.
         """
         fault = self._corrupts.get((shard, query_index))
         if fault is None:
             return rids, False
-        rids = list(rids)
+        rids = np.asarray(rids, dtype=np.int64).tolist()
         count = len(rids)
         if fault.mode == "drop":
             if not count:

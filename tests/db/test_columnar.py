@@ -11,9 +11,8 @@ batch, including ghost annihilation and compaction crossings.
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.db import (ColumnarIndex, ColumnarTable, DeltaBatch, Eq, In,
                       Or, Query, QueryEngine, Range, ShardedEngine,
@@ -108,22 +107,23 @@ class TestIndexScanParity:
     def test_scan_eq(self, pair):
         row_table, col_table = pair
         for value in range(-1, COLUMNS["status"] + 1):
-            assert col_table.index("status").scan_eq(value) \
-                == row_table.index("status").scan_eq(value)
+            assert col_table.index("status").scan_eq(value).tolist() \
+                == row_table.index("status").scan_eq(value).tolist()
 
     def test_scan_range(self, pair):
         row_table, col_table = pair
         probes = [(0, 599), (100, 400), (None, 250), (250, None),
                   (None, None), (400, 100), (598, 598)]
         for low, high in probes:
-            assert col_table.index("price").scan_range(low, high) \
-                == row_table.index("price").scan_range(low, high)
+            assert col_table.index("price").scan_range(low,
+                                                       high).tolist() \
+                == row_table.index("price").scan_range(low, high).tolist()
 
     def test_scan_in_with_duplicate_probes(self, pair):
         row_table, col_table = pair
         for probe in [(1, 3, 5), (5, 3, 1), (2, 2), (), (9, 11)]:
-            assert col_table.index("region").scan_in(probe) \
-                == row_table.index("region").scan_in(probe)
+            assert col_table.index("region").scan_in(probe).tolist() \
+                == row_table.index("region").scan_in(probe).tolist()
 
     def test_counts_and_distinct(self, pair):
         row_table, col_table = pair
@@ -225,7 +225,7 @@ class TestDeltaEquivalence:
 
     def test_ghost_rows_never_observable(self):
         table = indexed(ColumnarTable("t", make_columns(50, 3)))
-        before = table.all_rids()
+        before = table.all_rids().tolist()
         batch = DeltaBatch(
             inserts={"status": [1, 2], "region": [0, 1],
                      "price": [10, 20]},
@@ -234,10 +234,10 @@ class TestDeltaEquivalence:
         assert outcome["annihilated"] == 2
         assert len(outcome["insert_rids"]) == 0
         assert len(outcome["deleted_rids"]) == 0
-        assert table.all_rids() == before
+        assert table.all_rids().tolist() == before
         # ...but the annihilated rows still consumed RID space.
         assert table.rid_limit() == 52
-        assert table.index("status").scan_eq(1) == [
+        assert table.index("status").scan_eq(1).tolist() == [
             rid for rid in before
             if table.fetch([rid])[0]["status"] == 1]
 
@@ -250,13 +250,13 @@ class TestDeltaEquivalence:
             victims = sorted(rng.sample(live, 10))
             table.apply_delta(DeltaBatch(delete_rids=victims))
             live = [rid for rid in live if rid not in set(victims)]
-            assert table.all_rids() == live
+            assert table.all_rids().tolist() == live
             fresh = rebuilt_copy(table)
             for shape in SHAPES:
                 column = shape.column if hasattr(shape, "column") \
                     else "price"
-                assert table.index(column).scan_range(0, 599) \
-                    == fresh.index(column).scan_range(0, 599)
+                assert table.index(column).scan_range(0, 599).tolist() \
+                    == fresh.index(column).scan_range(0, 599).tolist()
         assert table.compactions > 0
 
     def test_delete_of_missing_rid_raises(self):
@@ -336,7 +336,7 @@ class TestStandingQueries:
             for standing, shape in zip(standings, SHAPES):
                 expected, _stats = fresh_engine.evaluate_predicate(
                     table, shape)
-                assert standing.rids == expected
+                assert standing.rids == expected.tolist()
         snapshot = engine.metrics_snapshot()
         assert snapshot["db.engine.standing.registered"] == len(SHAPES)
         assert snapshot["db.engine.standing.updates"] > 0
@@ -399,12 +399,12 @@ class TestShardedDeltas:
         engine = ShardedEngine(shards=3)
         shards = engine.shards_for(table)
         held = sorted(rid for shard in shards
-                      for rid in shard.held_rids())
-        assert held == table.all_rids()
+                      for rid in shard.held_rids().tolist())
+        assert held == table.all_rids().tolist()
         engine.apply_delta(table, DeltaBatch.from_spec(specs[0]))
         held = sorted(rid for shard in engine.shards_for(table)
-                      for rid in shard.held_rids())
-        assert held == table.all_rids()
+                      for rid in shard.held_rids().tolist())
+        assert held == table.all_rids().tolist()
 
 
 class TestDeltaHelpers:
@@ -417,7 +417,7 @@ class TestDeltaHelpers:
         for shape in SHAPES:
             mask = delta_mask(shape, columns)
             expected, _stats = engine.evaluate_predicate(table, shape)
-            assert np.flatnonzero(mask).tolist() == expected
+            assert np.flatnonzero(mask).tolist() == expected.tolist()
 
     def test_signature_affected_overlap_rules(self):
         touched = {"price": np.asarray([100, 250]),
@@ -435,8 +435,14 @@ class TestDeltaHelpers:
             signature(Eq("status", 1) | Eq("status", 2)), touched)
 
 
+def plain(outcome):
+    """A cost-model ``(values, cycles, source)`` with a list of values."""
+    values, cycles, source = outcome
+    return values.tolist(), cycles, source
+
+
 class TestCostModelOperands:
-    """The public cost-model API accepts ndarray operands."""
+    """The public cost-model API accepts list and ndarray operands."""
 
     def test_set_operation_ndarray_equals_list(self, eis_2lsu_partial):
         from repro.core.costmodel import CostModel
@@ -450,7 +456,7 @@ class TestCostModelOperands:
                 eis_2lsu_partial, which,
                 np.asarray(set_a, dtype=np.int64),
                 np.asarray(set_b, dtype=np.int64))
-            assert got == expected
+            assert plain(got) == plain(expected)
 
     def test_merge_sort_ndarray_equals_list(self, eis_2lsu_partial):
         from repro.core.costmodel import CostModel
@@ -459,7 +465,7 @@ class TestCostModelOperands:
         expected = model.merge_sort(eis_2lsu_partial, values)
         got = model.merge_sort(eis_2lsu_partial,
                                np.asarray(values, dtype=np.int64))
-        assert got == expected
-        assert model.merge_sort(eis_2lsu_partial,
-                                np.asarray([], dtype=np.int64)) \
-            == model.merge_sort(eis_2lsu_partial, [])
+        assert plain(got) == plain(expected)
+        assert plain(model.merge_sort(eis_2lsu_partial,
+                                      np.asarray([], dtype=np.int64))) \
+            == plain(model.merge_sort(eis_2lsu_partial, []))

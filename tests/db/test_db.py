@@ -53,12 +53,12 @@ class TestTable:
 
 class TestSecondaryIndex:
     def test_eq_scan_matches_column(self, table):
-        rids = table.index("status").scan_eq(2)
+        rids = table.index("status").scan_eq(2).tolist()
         assert rids == [rid for rid in range(table.row_count)
                         if table.columns["status"][rid] == 2]
 
     def test_range_scan_inclusive(self, table):
-        rids = table.index("priority").scan_range(3, 5)
+        rids = table.index("priority").scan_range(3, 5).tolist()
         expected = [rid for rid in range(table.row_count)
                     if 3 <= table.columns["priority"][rid] <= 5]
         assert rids == expected
@@ -72,13 +72,13 @@ class TestSecondaryIndex:
                    for rid in high_only)
 
     def test_in_scan(self, table):
-        rids = table.index("region").scan_in([0, 5])
+        rids = table.index("region").scan_in([0, 5]).tolist()
         assert rids == sorted(rids)
         assert all(table.columns["region"][rid] in (0, 5)
                    for rid in rids)
 
     def test_missing_value(self, table):
-        assert table.index("status").scan_eq(99) == []
+        assert table.index("status").scan_eq(99).tolist() == []
 
 
 class TestPredicates:
@@ -107,7 +107,7 @@ class TestWhere:
                                      Eq("status", 1) & Eq("region", 2))
         expected = ground_truth(
             table, lambda row: row["status"] == 1 and row["region"] == 2)
-        assert rids == expected
+        assert rids.tolist() == expected
         assert stats.set_operations == 1
         assert stats.index_scans == 2
         assert stats.cycles > 0
@@ -117,7 +117,7 @@ class TestWhere:
                                       Eq("status", 0) | Eq("status", 3))
         expected = ground_truth(table,
                                 lambda row: row["status"] in (0, 3))
-        assert rids == expected
+        assert rids.tolist() == expected
 
     def test_andnot(self, table, executor):
         predicate = AndNot(Range("priority", 5, 9), Eq("region", 1))
@@ -125,7 +125,7 @@ class TestWhere:
         expected = ground_truth(
             table, lambda row: 5 <= row["priority"] <= 9
             and row["region"] != 1)
-        assert rids == expected
+        assert rids.tolist() == expected
 
     def test_nested_tree(self, table, executor):
         predicate = (Eq("status", 1) & Range("priority", 5, 9)) \
@@ -136,13 +136,13 @@ class TestWhere:
             lambda row: (row["status"] == 1
                          and 5 <= row["priority"] <= 9)
             or row["region"] in (2, 3))
-        assert rids == expected
+        assert rids.tolist() == expected
         assert stats.set_operations == 2
 
     def test_empty_result(self, table, executor):
         rids, _stats = executor.where(table,
                                       Eq("status", 1) & Eq("status", 2))
-        assert rids == []
+        assert rids.tolist() == []
 
 
 class TestOrderByAndSelect:
@@ -186,7 +186,7 @@ class TestOrderByAndSelect:
 
     def test_empty_rid_list(self, table, executor):
         rids, stats = executor.order_by(table, [], "amount")
-        assert rids == []
+        assert rids.tolist() == []
         assert stats.cycles == 0
 
 
@@ -199,5 +199,5 @@ class TestEisScalarAgreement:
             | Eq("status", 0)
         eis_rids, eis_stats = eis.where(table, predicate)
         scalar_rids, scalar_stats = scalar.where(table, predicate)
-        assert eis_rids == scalar_rids
+        assert eis_rids.tolist() == scalar_rids.tolist()
         assert eis_stats.cycles < scalar_stats.cycles  # acceleration

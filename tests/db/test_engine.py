@@ -102,6 +102,39 @@ class TestEngine:
         second = engine.execute(Query(table, Eq("region", 2)))
         assert 999999 not in second.rids
 
+    def test_cached_arrays_are_read_only(self, eis_2lsu_partial, table):
+        """The scan cache and CSE hand one RID array to every later hit:
+        serving a cached scan twice under descending ORDER BY + LIMIT
+        leaves it intact, and writing into a cached array raises."""
+        from repro.db import ColumnarTable
+        columnar = ColumnarTable("orders", {
+            name: table.column(name)
+            for name in ("status", "region", "price")})
+        for column in ("status", "region", "price"):
+            columnar.create_index(column)
+
+        def query(on):
+            return Query(on, Eq("region", 2), order_by="price",
+                         descending=True, limit=10)
+
+        expected = make_engine(eis_2lsu_partial).execute(query(table))
+        engine = make_engine(eis_2lsu_partial)
+        first = engine.execute(query(columnar))
+        second = engine.execute(query(columnar))
+        assert engine.metrics_snapshot()["db.engine.scan_cache.hits"] == 1
+        assert first.rids == second.rids == expected.rids
+        assert first.rows == second.rows == expected.rows
+        cse = {}
+        engine.evaluate_predicate(
+            columnar, Eq("region", 2) & Range("price", 0, 500), cse=cse)
+        cached = list(engine._scan_cache.values()) \
+            + [rids for rids, _cycles in cse.values()]
+        assert len(cached) == 3
+        for rids in cached:
+            assert len(rids)
+            with pytest.raises(ValueError):
+                rids[0] = -1
+
     def test_cse_reuses_identical_subtrees_within_batch(
             self, eis_2lsu_partial, table, predicate):
         engine = make_engine(eis_2lsu_partial)
@@ -151,7 +184,6 @@ class TestEngine:
         so without the operand check they returned wrong RIDs."""
         processor = request.getfixturevalue(core)
         if storage == "columnar":
-            pytest.importorskip("numpy")
             from repro.db import ColumnarTable
             table = ColumnarTable("orders", {
                 name: table.column(name)
@@ -250,12 +282,23 @@ class TestWorkerMetricMerge:
 
 class TestBenchHarness:
     def test_run_bench_reports_parity(self):
-        from repro.db.bench import run_bench
+        from repro.db.bench import build_demo_table, demo_queries, run_bench
         report = run_bench(rows=120, queries=6, repeat=1)
         assert report["rid_parity"] is True
         assert report["cycle_parity"] is True
         assert report["speedup"] > 0
         assert report["queries"] == 6
+        metrics = report["engine_metrics"]
+        fallbacks = metrics["costmodel.fallbacks"]
+        modeled = metrics["costmodel.hits"] + fallbacks
+        assert report["costmodel_fallback_share"] == fallbacks / modeled
+        # the counters are the three timed rounds', not the process's
+        table = build_demo_table(rows=120, seed=42)
+        one_round = QueryEngine(cost_model=CostModel())
+        one_round.execute_batch(demo_queries(table, count=6, seed=43))
+        counts = one_round.cost_model.stats()
+        assert fallbacks == 3 * counts["fallbacks"]
+        assert modeled == 3 * (counts["hits"] + counts["fallbacks"])
 
     def test_run_bench_traced_pass(self, tmp_path):
         from repro.db.bench import run_bench

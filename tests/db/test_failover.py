@@ -11,6 +11,7 @@ hedged onto replicas under a modeled-cycle deadline.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.db import (CircuitBreaker, Query, QueryEngine, Range,
@@ -150,6 +151,18 @@ class TestRidChecksum:
         assert rid_checksum(rids[:-1]) != clean           # drop
         assert rid_checksum([5, 17, 90 ^ 8, 4096]) != clean   # flip
         assert rid_checksum(rids + [99999]) != clean      # inject
+
+    def test_lists_and_arrays_keep_pinned_values(self):
+        """CRC-32 of the uint32 words, whatever container holds them:
+        a one-element array holding RID 0 is not empty."""
+        rng = random.Random(1000)
+        seeded = sorted(rng.sample(range(1 << 20), 1000))
+        for rids, expected in (([], 0), ([0], 558161692),
+                               ([2 ** 32 - 1], 4294967295),
+                               (seeded, 1872031529)):
+            assert rid_checksum(rids) == expected
+            assert rid_checksum(np.asarray(rids, dtype=np.int64)) \
+                == expected
 
 
 # ---------------------------------------------------------------------------

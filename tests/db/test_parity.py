@@ -52,7 +52,7 @@ class TestWhereParity:
         rids_eis, stats_eis = executors["eis"].where(table, predicate)
         rids_scalar, stats_scalar = executors["scalar"].where(
             table, predicate)
-        assert rids_eis == rids_scalar
+        assert rids_eis.tolist() == rids_scalar.tolist()
         assert table.fetch(rids_eis) == table.fetch(rids_scalar)
         if stats_eis.set_operations and stats_eis.cycles:
             assert stats_eis.cycles < stats_scalar.cycles
@@ -67,7 +67,7 @@ class TestOrderByParity:
             table, rids, "score", descending)
         ordered_scalar, _ = executors["scalar"].order_by(
             table, rids, "score", descending)
-        assert ordered_eis == ordered_scalar
+        assert ordered_eis.tolist() == ordered_scalar.tolist()
         scores = table.column("score")
         keys = [scores[rid] for rid in ordered_eis]
         assert keys == sorted(keys, reverse=descending)
@@ -97,5 +97,5 @@ class TestOrderByParity:
             table, list(range(table.row_count)), "score")
         ordered_scalar, _ = executors["scalar"].order_by(
             table, list(range(table.row_count)), "score")
-        assert ordered_eis == ordered_scalar
-        assert sorted(ordered_eis) == list(range(table.row_count))
+        assert ordered_eis.tolist() == ordered_scalar.tolist()
+        assert sorted(ordered_eis.tolist()) == list(range(table.row_count))

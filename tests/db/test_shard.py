@@ -240,8 +240,8 @@ class TestPartitioners:
 
     def test_global_rids_ascending(self, table):
         for shard in partition_table(table, HashPartitioner(4)):
-            assert shard.global_rids \
-                == sorted(shard.global_rids)
+            assert shard.global_rids.tolist() \
+                == sorted(shard.global_rids.tolist())
 
     def test_hash_partition_balance(self):
         table = build_table(rows=2000, seed=5, name="big")
@@ -350,7 +350,6 @@ class TestShardCache:
     def test_clear_caches_keeps_layout_after_deltas(self):
         """A range partition's frozen bounds survive the clear: fresh
         quantiles over the skewed post-delta scores would move rows."""
-        pytest.importorskip("numpy")
         from repro.db import ColumnarTable, DeltaBatch
         source = build_table(rows=120)
         table = ColumnarTable("events", {
@@ -371,17 +370,18 @@ class TestShardCache:
 
         engine.apply_delta(table, high_scores(40))
         shards = list(engine.shards_for(table))
-        held = [shard.held_rids() for shard in shards]
+        held = [shard.held_rids().tolist() for shard in shards]
         engine.clear_caches()
         assert all(after is before for after, before
                    in zip(engine.shards_for(table), shards))
-        assert [shard.held_rids() for shard in shards] == held
+        assert [shard.held_rids().tolist() for shard in shards] == held
         expected = QueryEngine().execute_batch(queries)
         assert [result.rids for result in engine.execute_batch(queries)] \
             == [result.rids for result in expected]
         engine.apply_delta(table, high_scores(10))
         assert sorted(rid for shard in engine.shards_for(table)
-                      for rid in shard.held_rids()) == table.all_rids()
+                      for rid in shard.held_rids().tolist()) \
+            == table.all_rids().tolist()
         expected = QueryEngine().execute_batch(queries)
         assert [result.rids for result in engine.execute_batch(queries)] \
             == [result.rids for result in expected]
@@ -420,7 +420,7 @@ def churn(table, rng, count=24):
         inserts={"kind": [rng.randrange(5) for _ in range(count)],
                  "zone": [rng.randrange(7) for _ in range(count)],
                  "score": [rng.randrange(500) for _ in range(count)]},
-        delete_rids=rng.sample(table.all_rids(), count))
+        delete_rids=rng.sample(table.all_rids().tolist(), count))
 
 
 class _RecordingPool:
@@ -452,7 +452,6 @@ class TestResidentHosts:
                              ids=("costmodel", "iss"))
     def test_batches_across_deltas_match_inline(self, partitioner,
                                                 cost_model):
-        pytest.importorskip("numpy")
         pooled_table, inline_table = columnar_table(), columnar_table()
         pooled = ShardedEngine(shards=3, partitioner=partitioner,
                                cost_model=cost_model)
@@ -479,7 +478,6 @@ class TestResidentHosts:
             pooled.shutdown()
 
     def test_shard_shipped_once_and_again_after_delta(self):
-        pytest.importorskip("numpy")
         table = columnar_table()
         engine = ShardedEngine(shards=1)
         pool = engine._pool = _RecordingPool(SupervisorPool(jobs=1))
