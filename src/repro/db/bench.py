@@ -4,7 +4,7 @@ Shared by ``repro db bench``, ``benchmarks/bench_db_engine.py`` and the
 CI throughput gate: builds a deterministic table + query batch, serves
 it through the cost-model engine, through a pure-ISS engine, and
 through the ISS path the engine replaced (a per-query
-:class:`~repro.db.executor.QueryExecutor` loop — no scan cache, no
+:class:`~repro.db.executor.QueryExecutor` loop — no result cache, no
 common-subexpression reuse).  The two engines must return identical
 RIDs and cycle counts query-for-query; the reported speedup is the
 cost-model engine against the plain ISS serving path.
@@ -40,7 +40,7 @@ def demo_queries(table, count=32, seed=7):
     """A deterministic query batch with mixed shapes.
 
     Roughly a quarter of the batch repeats an earlier query verbatim
-    (the CSE / scan-cache case of batch traffic); the rest vary the
+    (the CSE / result-cache case of batch traffic); the rest vary the
     predicate parameters.
     """
     rng = random.Random(seed)
@@ -89,7 +89,7 @@ def _serve_rounds(queries, repeat, **engine_kwargs):
 def _serve_baseline(table, queries, repeat, config):
     """The pre-engine ISS serving path: one ``select`` per query.
 
-    A fresh :class:`QueryExecutor` per round, no scan cache, no
+    A fresh :class:`QueryExecutor` per round, no result cache, no
     cross-query reuse — every query pays the full simulator cost.
     """
     best = None

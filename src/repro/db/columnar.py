@@ -564,41 +564,51 @@ def delta_mask(predicate, columns):
     raise TypeError("unknown predicate node %r" % (predicate,))
 
 
-def signature_affected(sig, touched):
+#: Signature tags of the combinators (``predicates.signature``).
+_COMBINATOR_TAGS = frozenset(("intersection", "union", "difference"))
+
+
+def signature_affected(sig, touched, memo=None):
     """Whether a cached predicate signature overlaps a delta's
     touched-value footprint.
 
-    *touched* maps column names to sorted ndarrays of values that some
-    inserted or deleted row carried.  A cache entry survives a delta
-    exactly when no leaf of its predicate can match any touched value —
-    the vectorized membership/overlap checks below.
+    *touched* maps column names to the sorted, duplicate-free value
+    arrays (``np.unique``) that some inserted or deleted row carried.
+    A cache entry survives a delta exactly when no leaf of its
+    predicate can match any touched value, which binary search
+    answers: an ``eq`` or ``in`` value is touched when it sits at its
+    insertion point, a ``range`` when its two bounds enclose a value.
+    *memo* (a dict shared across the calls of one invalidation pass)
+    answers each distinct leaf signature once.
     """
+    if sig[0] in _COMBINATOR_TAGS:
+        # ("intersection"|"union"|"difference", left_sig, right_sig)
+        return signature_affected(sig[1], touched, memo) \
+            or signature_affected(sig[2], touched, memo)
+    if memo is not None:
+        known = memo.get(sig)
+        if known is not None:
+            return known
+    affected = _leaf_affected(sig, touched.get(sig[1]))
+    if memo is not None:
+        memo[sig] = affected
+    return affected
+
+
+def _leaf_affected(sig, values):
+    if values is None or not values.size:
+        return False
     kind = sig[0]
-    if kind == "eq":
-        _kind, column, value = sig
-        values = touched.get(column)
-        if values is None or not values.size:
-            return False
-        return bool(np.isin(value, values, assume_unique=False))
     if kind == "range":
-        _kind, column, low, high = sig
-        values = touched.get(column)
-        if values is None or not values.size:
-            return False
-        mask = np.ones(values.size, dtype=bool)
-        if low is not None:
-            mask &= values >= low
-        if high is not None:
-            mask &= values <= high
-        return bool(mask.any())
-    if kind == "in":
-        _kind, column, members = sig
-        values = touched.get(column)
-        if values is None or not values.size:
-            return False
-        return bool(np.isin(np.asarray(list(members),
-                                       dtype=np.int64),
-                            values).any())
-    # Combinator: ("and"|"or"|"andnot", left_sig, right_sig).
-    return signature_affected(sig[1], touched) \
-        or signature_affected(sig[2], touched)
+        _kind, _column, low, high = sig
+        start = 0 if low is None else values.searchsorted(low, "left")
+        stop = values.size if high is None \
+            else values.searchsorted(high, "right")
+        return bool(stop > start)
+    if kind == "eq":
+        value = sig[2]
+        at = values.searchsorted(value)
+        return bool(at < values.size and values[at] == value)
+    probes = np.asarray(sig[2], dtype=np.int64)  # "in"
+    at = np.minimum(values.searchsorted(probes), values.size - 1)
+    return bool((values[at] == probes).any())

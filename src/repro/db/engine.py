@@ -8,8 +8,15 @@ rather than single microbenchmarks:
   :class:`~repro.core.costmodel.CostModel` by default, so a query
   costs vectorized set algebra instead of per-instruction simulation
   while reporting the identical cycle counts;
-* **scan cache** — secondary-index scans are memoized per (table,
-  leaf-predicate signature) across the engine's lifetime;
+* **result cache** — every predicate node's answer is kept across
+  batches under ``(id(table), signature)``: a leaf entry holds its
+  index-scan RIDs, a combinator entry also what its own set operation
+  cost (cycles by source, kernel or short circuit).  A hit replays
+  that cost into :class:`QueryStats`, so a query's modeled cycles
+  depend on the query and the table, never on what the engine served
+  before.  Deltas drop the entries whose predicate overlaps the
+  touched values; a byte budget (:data:`RESULT_CACHE_BYTES`) evicts
+  the least recently used;
 * **common-subexpression reuse** — identical predicate subtrees
   within one batch are evaluated once, and the cycles the reuse
   avoided are tracked as ``db.engine.cycles_saved``; both caches hold
@@ -19,7 +26,8 @@ rather than single microbenchmarks:
   executor, the same crash-isolation infrastructure the experiment
   sweeps use);
 * **telemetry** — ``db.engine.*`` counters (queries, cache hits,
-  cycles by source, cycles saved) plus the cost model's
+  cycles by source, cycles saved; ``scan_cache.*`` for leaf entries,
+  ``result_cache.*`` for combinator entries) plus the cost model's
   ``costmodel.*`` counters in one registry snapshot.
 
 The ISS remains the default everywhere else; pass
@@ -28,6 +36,7 @@ baseline, and the differential suite's reference).
 """
 
 import time
+from collections import OrderedDict
 from contextlib import nullcontext
 
 import numpy as np
@@ -40,7 +49,20 @@ from ..telemetry.registry import MetricsRegistry
 from .columnar import delta_mask, signature_affected
 from .executor import QueryExecutor, QueryStats, _merge_stats
 from .planlint import lint_query_or_raise
-from .predicates import Combinator, Leaf, signature
+from .predicates import Leaf, signature
+
+#: Byte budget of one engine's result cache: RID bytes plus
+#: :data:`ENTRY_CHARGE_BYTES` per entry.  A working set that repeats
+#: fits many times over (serve_hot's is 205 entries, 1.9 MB charged);
+#: a shard engine under a non-repeating stream would grow without
+#: bound, so past this the least recently used entries go.
+RESULT_CACHE_BYTES = 16 << 20
+
+#: Fixed charge per cache entry, so empty results count too: about
+#: what the key, the entry tuple, the array header and a combinator's
+#: recorded QueryStats take (measured 0.4 KB for a leaf and 1.0 KB
+#: for a combinator whose signature tuples are its own).
+ENTRY_CHARGE_BYTES = 1024
 
 
 class Query:
@@ -172,12 +194,20 @@ class QueryEngine:
         self._delta_rows = scope.counter("delta_rows")
         self._scan_invalidated = scope.counter(
             "scan_cache.invalidated")
+        self._result_hits = scope.counter("result_cache.hits")
+        self._result_misses = scope.counter("result_cache.misses")
+        self._result_invalidated = scope.counter(
+            "result_cache.invalidated")
+        self._evictions = scope.counter("result_cache.evictions")
         self._standing_count = scope.gauge("standing.registered")
         self._standing_updates = scope.counter("standing.updates")
         self._standing_scanned = scope.counter("standing.rows_scanned")
-        #: (id(table), signature) -> read-only RID array; tables are
-        #: pinned so the id() keys stay unique for the engine's lifetime.
-        self._scan_cache = {}
+        #: (id(table), signature) -> (read-only RID array, cost), least
+        #: recently used first; cost is the combinator's own set-op
+        #: QueryStats, None for a leaf.  Tables are pinned so the id()
+        #: keys stay unique for the engine's lifetime.
+        self._cache = OrderedDict()
+        self._cache_bytes = 0
         self._pinned_tables = {}
         #: id(table) -> [StandingQuery, ...]
         self._standing = {}
@@ -240,7 +270,7 @@ class QueryEngine:
         The scatter half of sharded execution
         (:class:`~repro.db.shard.ShardedEngine`): a shard evaluates the
         query's predicate tree against its partition through this
-        engine — scan cache, CSE and cycle attribution included —
+        engine — result cache, CSE and cycle attribution included —
         without the ORDER BY / fetch tail the coordinator owns.
         """
         if stats is None:
@@ -255,14 +285,16 @@ class QueryEngine:
         """Apply a :class:`~repro.db.columnar.DeltaBatch` to *table*
         and maintain all derived engine state.
 
-        * Scan-cache entries survive unless some leaf of their
-          predicate can match a value the delta touched (checked
-          vectorized against the delta's per-column value footprint).
+        * Result-cache entries survive unless some leaf of their
+          predicate can match a value the delta touched (the delta's
+          per-column value footprint, :func:`~repro.db.columnar.
+          signature_affected`).
         * Standing queries are re-evaluated only over the delta's rows
           and each emits a :class:`StandingUpdate` output delta.
 
         Returns ``{"table": <table outcome>, "invalidated": n,
-        "updates": [StandingUpdate, ...]}``.
+        "updates": [StandingUpdate, ...]}`` with *n* the cache entries
+        dropped, leaves and combinators.
         """
         if not hasattr(table, "apply_delta"):
             raise TypeError(
@@ -270,7 +302,7 @@ class QueryEngine:
                 "repro.db.columnar.ColumnarTable" % (table.name,))
         outcome = table.apply_delta(batch)
         touched = outcome["touched"]
-        invalidated = self._invalidate_scan_cache(id(table), touched)
+        invalidated = self._invalidate(id(table), touched)
         updates = []
         insert_rids = outcome["insert_rids"]
         removed_candidates = set(outcome["deleted_rids"].tolist())
@@ -290,17 +322,23 @@ class QueryEngine:
         self._deltas.add(1)
         self._delta_rows.add(len(insert_rids)
                              + len(removed_candidates))
-        self._scan_invalidated.add(invalidated)
         return {"table": outcome, "invalidated": invalidated,
                 "updates": updates}
 
-    def _invalidate_scan_cache(self, table_id, touched):
-        """Drop cache entries whose predicate overlaps *touched*."""
-        stale = [key for key in self._scan_cache
+    def _invalidate(self, table_id, touched):
+        """Drop the entries for *table_id* whose predicate overlaps
+        *touched*; returns how many were dropped."""
+        memo = {}
+        stale = [key for key in self._cache
                  if key[0] == table_id
-                 and signature_affected(key[1], touched)]
+                 and signature_affected(key[1], touched, memo)]
+        leaves = 0
         for key in stale:
-            del self._scan_cache[key]
+            rids, cost = self._cache.pop(key)
+            self._cache_bytes -= rids.nbytes + ENTRY_CHARGE_BYTES
+            leaves += cost is None
+        self._scan_invalidated.add(leaves)
+        self._result_invalidated.add(len(stale) - leaves)
         return len(stale)
 
     def register_standing(self, query):
@@ -359,28 +397,31 @@ class QueryEngine:
         return QueryResult(rows, rids.tolist(), stats)
 
     def _evaluate(self, table, predicate, stats, cse, tracer=None,
-                  index=0):
+                  index=0, sig=None):
+        """RIDs of *predicate* on *table*, its cost added to *stats*.
+
+        *sig* is the node's signature when the caller has it: a
+        combinator's children are ``sig[1]`` and ``sig[2]``.
+        """
+        if sig is None:
+            sig = signature(predicate)
+        key = (id(table), sig)
         if isinstance(predicate, Leaf):
             stats.index_scans += 1
-            key = (id(table), signature(predicate))
-            cached = self._scan_cache.get(key)
-            if cached is not None:
+            entry = self._lookup(key)
+            if entry is not None:
                 self._scan_hits.add(1)
                 if tracer is not None:
                     with tracer.span("scan.cached", query=index):
-                        return cached
-                return cached
+                        return entry[0]
+                return entry[0]
             scan = tracer.span("scan", query=index) \
                 if tracer is not None else nullcontext()
             with scan:
                 rids = _read_only(predicate.scan(table))
-            self._pinned_tables[id(table)] = table
-            self._scan_cache[key] = rids
             self._scan_misses.add(1)
+            self._store(key, table, rids, None)
             return rids
-        if not isinstance(predicate, Combinator):
-            raise TypeError("not a predicate: %r" % (predicate,))
-        key = (id(table), signature(predicate))
         if cse is not None:
             hit = cse.get(key)
             if hit is not None:
@@ -394,23 +435,48 @@ class QueryEngine:
                 return rids
         before = stats.cycles
         left = self._evaluate(table, predicate.left, stats, cse,
-                              tracer, index)
+                              tracer, index, sig[1])
         right = self._evaluate(table, predicate.right, stats, cse,
-                               tracer, index)
+                               tracer, index, sig[2])
         name = "set.%s" % predicate.operation
-        by_source_before = dict(stats.cycles_by_source)
-        with (tracer.span(name, query=index)
-              if tracer is not None else nullcontext()):
-            rids = _read_only(self.executor.set_operation(
-                predicate.operation, left, right, stats))
-        if tracer is not None:
-            delta = {source: cycles - by_source_before.get(source, 0)
-                     for source, cycles
-                     in stats.cycles_by_source.items()}
-            self._record_cycles(tracer, name, delta, index)
+        entry = self._lookup(key)
+        if entry is None:
+            cost = QueryStats()
+            with (tracer.span(name, query=index)
+                  if tracer is not None else nullcontext()):
+                rids = _read_only(self.executor.set_operation(
+                    predicate.operation, left, right, cost))
+            self._result_misses.add(1)
+            self._store(key, table, rids, cost)
+        else:
+            # A hit replays what the set operation cost when it ran.
+            with (tracer.span(name + ".cached", query=index)
+                  if tracer is not None else nullcontext()):
+                rids, cost = entry
+            self._result_hits.add(1)
+        _merge_stats(stats, cost)
+        self._record_cycles(tracer, name, cost.cycles_by_source, index)
         if cse is not None:
             cse[key] = (rids, stats.cycles - before)
         return rids
+
+    def _lookup(self, key):
+        """The cache entry under *key*, marked most recently used."""
+        entry = self._cache.get(key)
+        if entry is not None:
+            self._cache.move_to_end(key)
+        return entry
+
+    def _store(self, key, table, rids, cost):
+        """Cache *rids* (and a combinator's *cost*) under *key*, then
+        evict least recently used entries while over the budget."""
+        self._pinned_tables[key[0]] = table
+        self._cache[key] = (rids, cost)
+        self._cache_bytes += rids.nbytes + ENTRY_CHARGE_BYTES
+        while self._cache_bytes > RESULT_CACHE_BYTES:
+            _key, (old, _cost) = self._cache.popitem(last=False)
+            self._cache_bytes -= old.nbytes + ENTRY_CHARGE_BYTES
+            self._evictions.add(1)
 
     def _record_cycles(self, tracer, name, by_source, index):
         """Modeled-cycle spans, one per nonzero attribution source."""
@@ -546,7 +612,8 @@ class QueryEngine:
         return values
 
     def clear_caches(self):
-        self._scan_cache.clear()
+        self._cache.clear()
+        self._cache_bytes = 0
         self._pinned_tables.clear()
 
     def __repr__(self):
@@ -555,7 +622,7 @@ class QueryEngine:
 
 
 def _read_only(rids):
-    """*rids* as a read-only int64 array: the scan cache and CSE hand
+    """*rids* as a read-only int64 array: the result cache and CSE hand
     the same array to every later hit, so no holder may write to it."""
     rids = np.asarray(rids, dtype=np.int64)
     rids.flags.writeable = False

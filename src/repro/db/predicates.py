@@ -107,7 +107,7 @@ def signature(predicate):
 
     Two predicates with equal signatures scan/compute identical RID
     lists on the same table — the cache key of the query engine's
-    scan cache and common-subexpression reuse.
+    result cache and common-subexpression reuse.
     """
     if isinstance(predicate, Eq):
         return ("eq", predicate.column, predicate.value)

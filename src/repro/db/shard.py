@@ -66,14 +66,11 @@ deterministic).
 
 import time
 import uuid
-from array import array
-
-import numpy as np
 
 from ..cpu.interconnect import Interconnect
 from ..supervisor import SupervisorPool, Task
 from ..telemetry.registry import MetricsRegistry
-from .columnar import DeltaBatch, signature_affected
+from .columnar import DeltaBatch
 from .engine import QueryEngine, QueryResult
 from .executor import NO_RIDS, RID_BITS, QueryStats, _merge_stats
 from .failover import (BREAKER_STATES, CircuitBreaker, ShardError,
@@ -81,7 +78,6 @@ from .failover import (BREAKER_STATES, CircuitBreaker, ShardError,
 from .partition import (make_partitioner, partition_table,
                         plan_replicas, shard_may_match, skew_ratio)
 from .planlint import lint_query_or_raise
-from .predicates import signature
 
 #: Bytes one RID occupies on the wire (the paper's 32-bit element).
 RID_BYTES = 4
@@ -118,57 +114,6 @@ class _Pruned:
 
 
 _PRUNED = _Pruned()
-
-
-class _ShardCache:
-    """One shard position's cross-batch WHERE cache.
-
-    Maps ``(id(shard table), predicate signature)`` to a global RID
-    array.  The RIDs live back to back in one int64 buffer, addressed by
-    ``(start, stop)`` spans, so a long-lived coordinator holds one
-    growing buffer per shard position rather than a heap block per
-    cached answer: thousands of medium-sized blocks fragment the
-    allocator's heap and raise peak RSS.  Dropped entries leave dead
-    spans, reclaimed by compacting once they outweigh the live ones.
-    """
-
-    def __init__(self):
-        self.clear()
-
-    def clear(self):
-        self.spans = {}
-        self.rids = array("q")
-        self.dead = 0
-
-    def __contains__(self, key):
-        return key in self.spans
-
-    def __iter__(self):
-        return iter(self.spans)
-
-    def get(self, key):
-        """The RID array cached under *key* (a fresh copy), or ``None``."""
-        span = self.spans.get(key)
-        if span is None:
-            return None
-        return np.frombuffer(self.rids[span[0]:span[1]], dtype=np.int64)
-
-    def put(self, key, rids):
-        start = len(self.rids)
-        self.rids.frombytes(np.asarray(rids, dtype=np.int64).tobytes())
-        self.spans[key] = (start, len(self.rids))
-
-    def drop(self, keys):
-        """Forget *keys*; compact once dead spans outweigh live ones."""
-        for key in keys:
-            start, stop = self.spans.pop(key)
-            self.dead += stop - start
-        if self.dead * 2 > len(self.rids):
-            old, self.rids, self.dead = self.rids, array("q"), 0
-            for key, (start, stop) in self.spans.items():
-                self.spans[key] = (len(self.rids),
-                                   len(self.rids) + stop - start)
-                self.rids.extend(old[start:stop])
 
 
 class ShardedResult(QueryResult):
@@ -333,12 +278,6 @@ class ShardedEngine:
                 "rows_held": shard_scope.gauge("rows_held"),
                 "queue_depth": shard_scope.gauge("queue_depth"),
                 "replicas": shard_scope.gauge("replicas"),
-                "cache_hits": shard_scope.scope("cache")
-                .counter("hits"),
-                "cache_misses": shard_scope.scope("cache")
-                .counter("misses"),
-                "cache_invalidated": shard_scope.scope("cache")
-                .counter("invalidated"),
             })
             breaker_scope = shard_scope.scope("breaker")
             self._breaker_scopes.append({
@@ -349,16 +288,11 @@ class ShardedEngine:
                 "short_circuits": breaker_scope.counter("short_circuits"),
             })
         #: id(table) -> list of TableShard; tables pinned for id()
-        #: stability, exactly like the engine's scan cache.
+        #: stability, exactly like the engine's result cache.
         self._partitions = {}
         self._pinned_tables = {}
         #: id(table) -> plan_replicas placement (replica hosts/shard).
         self._replica_placements = {}
-        #: Cross-batch shard WHERE caches, one per shard position.
-        #: Disabled under fault injection — a cache hit would mask the
-        #: very failover paths the chaos harness measures.
-        self._shard_cache = [_ShardCache() for _ in range(shards)]
-        self._cache_enabled = fault_injector is None
         #: id(table) -> frozen Partitioner.router closure (delta
         #: routing) and rid -> shard-position owner map.
         self._routers = {}
@@ -419,14 +353,14 @@ class ShardedEngine:
         """Apply a delta batch to a sharded columnar table.
 
         The coordinator engine applies the batch to the parent table
-        first (assigning RIDs, maintaining its scan cache and standing
+        first (assigning RIDs, maintaining its result cache and standing
         queries); the effective rows are then routed through the
         table's *frozen* partition router — inserts to the shard the
         router names, deletes to the shard that owns the RID — and
         replayed onto each shard's sub-table as a pre-assigned-RID
-        sub-batch.  Existing rows never move shards, so every cached
-        structure survives except entries whose predicate overlaps the
-        delta's touched values.
+        sub-batch.  Existing rows never move shards, so every shard
+        engine's result cache survives except entries whose predicate
+        overlaps the delta's touched values.
         """
         shards = self.shards_for(table)
         key = id(table)
@@ -469,31 +403,14 @@ class ShardedEngine:
                 delete_rids=delete_list,
                 insert_rids=rid_list or None)
             sub_outcome = shard.table.apply_delta(sub_batch)
-            touched = sub_outcome["touched"]
-            self._invalidate_shard_cache(position, shard.table,
-                                         touched)
             for engine in self.shard_engines:
-                engine._invalidate_scan_cache(id(shard.table),
-                                              touched)
+                engine._invalidate(id(shard.table),
+                                   sub_outcome["touched"])
             self._shard_scopes[position]["rows_held"].set(
                 shard.table.row_count)
         self._deltas.add(1)
         self._delta_rows.add(len(insert_rids) + len(deleted_rids))
         return applied
-
-    def _invalidate_shard_cache(self, position, shard_table, touched):
-        """Drop shard-cache entries whose predicate overlaps the
-        delta's touched values (same rule as the engine scan cache,
-        but over whole-tree signatures)."""
-        cache = self._shard_cache[position]
-        stale = [key for key in cache
-                 if key[0] == id(shard_table)
-                 and signature_affected(key[1], touched)]
-        cache.drop(stale)
-        if stale:
-            self._shard_scopes[position]["cache_invalidated"].add(
-                len(stale))
-        return len(stale)
 
     def register_standing(self, query):
         """Register a standing query on the coordinator engine (the
@@ -505,8 +422,7 @@ class ShardedEngine:
     def execute(self, query, tracer=None, deadline_cycles=None):
         """Serve one query; returns a :class:`ShardedResult`."""
         return self._execute_one(query, cse=None, tracer=tracer,
-                                 deadline=deadline_cycles,
-                                 sig=self._cache_signature(query))
+                                 deadline=deadline_cycles)
 
     def execute_batch(self, queries, workers=1, timeout=None,
                       tracer=None, deadline_cycles=None):
@@ -529,18 +445,16 @@ class ShardedEngine:
             scope["queue_depth"].set(len(queries))
         base_cycles = [scope["cycles"].value
                        for scope in self._shard_scopes]
-        signatures = [self._cache_signature(query) for query in queries]
         try:
             if workers > 1 and len(queries) > 1:
-                prefetched = self._scatter_pooled(queries, signatures,
-                                                  workers, timeout)
+                prefetched = self._scatter_pooled(queries, workers,
+                                                  timeout)
             else:
                 prefetched = [None] * len(queries)
             cse = [{} for _ in range(self.shards)]
             results = [self._execute_one(query, cse, tracer, index,
                                          prefetched[index],
-                                         deadline_cycles,
-                                         signatures[index])
+                                         deadline_cycles)
                        for index, query in enumerate(queries)]
         finally:
             for scope in self._shard_scopes:
@@ -559,15 +473,8 @@ class ShardedEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _cache_signature(self, query):
-        """The shard-cache key part of *query*: its whole-tree
-        signature, or ``None`` when the cache does not apply."""
-        if not self._cache_enabled or query.predicate is None:
-            return None
-        return signature(query.predicate)
-
     def _execute_one(self, query, cse, tracer=None, index=0,
-                     prefetched=None, deadline=None, sig=None):
+                     prefetched=None, deadline=None):
         table = query.table
         lint_query_or_raise(query, engine=self.coordinator)
         if deadline is None:
@@ -582,7 +489,7 @@ class ShardedEngine:
             # whole table anyway.
             rids = table.all_rids()
         else:
-            entries = self._scatter(table, query.predicate, sig, cse,
+            entries = self._scatter(table, query.predicate, cse,
                                     tracer, index, prefetched, deadline)
             (rids, combined, gather_cycles, transfer_cycles,
              shard_cycles, skipped, shards_failed,
@@ -631,7 +538,7 @@ class ShardedEngine:
                              shards_failed=shards_failed,
                              failovers=failovers)
 
-    def _scatter(self, table, predicate, sig, cse, tracer, index,
+    def _scatter(self, table, predicate, cse, tracer, index,
                  prefetched, deadline):
         """Serve the WHERE tree on every owning shard, with failover.
 
@@ -656,8 +563,8 @@ class ShardedEngine:
                 continue
             hosts = [position] + placement[position]
             entries.append(self._serve_shard(
-                position, hosts, shard, predicate, sig, cse, tracer,
-                index, payload, deadline))
+                position, hosts, shard, predicate, cse, tracer, index,
+                payload, deadline))
         return entries
 
     def _order_by_partitioned(self, table, query, entries, stats):
@@ -703,35 +610,8 @@ class ShardedEngine:
         return (ordered[::-1] if query.descending else ordered), \
             sort_cycle_map
 
-    def _serve_shard(self, position, hosts, shard, predicate, sig, cse,
+    def _serve_shard(self, position, hosts, shard, predicate, cse,
                      tracer, index, payload, deadline):
-        """One shard's WHERE, behind the cross-batch shard cache.
-
-        A (shard table, predicate signature *sig*) hit returns the
-        cached global RID list without dispatching to any host
-        (modeled cycles: zero, like the engine-level scan cache).
-        Entries are installed only from checksum-verified ``ok`` serves
-        and are invalidated by :meth:`apply_delta`'s touched-value
-        footprint; under fault injection the cache is disabled outright
-        (*sig* is ``None``) — a hit would mask the failover paths the
-        chaos harness measures.
-        """
-        if sig is not None:
-            key = (id(shard.table), sig)
-            cached = self._shard_cache[position].get(key)
-            if cached is not None:
-                self._shard_scopes[position]["cache_hits"].add(1)
-                return ("ok", cached, QueryStats(), 0, 0)
-            self._shard_scopes[position]["cache_misses"].add(1)
-        entry = self._serve_shard_uncached(
-            position, hosts, shard, predicate, cse, tracer, index,
-            payload, deadline)
-        if sig is not None and entry[0] == "ok":
-            self._shard_cache[position].put(key, entry[1])
-        return entry
-
-    def _serve_shard_uncached(self, position, hosts, shard, predicate,
-                              cse, tracer, index, payload, deadline):
         """One shard's WHERE for one query, across its host chain.
 
         Sequential failover along ``hosts`` (primary first, then
@@ -979,7 +859,7 @@ class ShardedEngine:
 
     # -- pooled scatter -------------------------------------------------------
 
-    def _scatter_pooled(self, queries, signatures, workers, timeout):
+    def _scatter_pooled(self, queries, workers, timeout):
         """Evaluate all (query, shard) WHERE work on a process pool.
 
         One task per owning shard carries the whole batch's predicate
@@ -1015,14 +895,8 @@ class ShardedEngine:
         prefetched = [[None] * self.shards for _ in queries]
         for position, shard in enumerate(shards):
             plan = []
-            for query_index, (query, sig) in enumerate(
-                    zip(queries, signatures)):
+            for query_index, query in enumerate(queries):
                 if query.predicate is None:
-                    continue
-                if sig is not None and (id(shard.table), sig) \
-                        in self._shard_cache[position]:
-                    # Cached pairs skip the pool; the inline path
-                    # serves them from the shard cache.
                     continue
                 if shard_may_match(shard.table, query.predicate):
                     plan.append((query_index, query.predicate))
@@ -1110,9 +984,9 @@ class ShardedEngine:
         return values
 
     def clear_caches(self):
-        """Forget cached answers: coordinator, shard-engine and
-        cross-batch shard caches, and (through the cache epoch the
-        next pooled tasks carry) the resident pool hosts' scan caches.
+        """Forget cached answers: the coordinator's and shard engines'
+        result caches, and (through the cache epoch the next pooled
+        tasks carry) the resident pool hosts'.
 
         Layout state stays — partitions, frozen routers, replica
         placements, RID owners and the table pins their ``id()`` keys
@@ -1123,8 +997,6 @@ class ShardedEngine:
         self.coordinator.clear_caches()
         for engine in self.shard_engines:
             engine.clear_caches()
-        for cache in self._shard_cache:
-            cache.clear()
         self._epoch += 1
 
     def __repr__(self):
@@ -1135,7 +1007,9 @@ class ShardedEngine:
 
 
 #: Engine counters a resident host reports back per task.
-_HOST_COUNTERS = ("scan_cache.hits", "scan_cache.misses", "cse.hits")
+_HOST_COUNTERS = ("scan_cache.hits", "scan_cache.misses", "cse.hits",
+                  "result_cache.hits", "result_cache.misses",
+                  "result_cache.evictions")
 
 #: The resident shard host of this process.  Only pool workers create
 #: one (their first :func:`_serve_shard_batch` call); it lives as long
@@ -1170,7 +1044,7 @@ class _ResidentHost:
                                   or held.table.version != version):
             if held is not None:
                 # The replaced table's id() can be handed to its
-                # successor; no scan cached under it may survive.
+                # successor; no answer cached under it may survive.
                 engine.clear_caches()
             held = self.shards[key] = shard
         if held is None or held.table.version != version:
@@ -1210,7 +1084,7 @@ def _serve_shard_batch(engine_spec, key, version, epoch, predicates,
     global_rids, checksum, stats)`` tuples — RIDs already in the
     global space (so the parent's gather fold needs no shard state)
     and checksummed at the sender, so corruption on the response path
-    is detected at delivery — and the task's scan-cache / CSE counter
+    is detected at delivery — and the task's result-cache and CSE counter
     deltas.  A new *epoch* clears the engine's caches first.
     """
     global _HOST

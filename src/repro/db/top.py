@@ -3,9 +3,9 @@
 Drives the demo workload (:mod:`repro.db.bench`) through one
 long-lived :class:`~repro.db.engine.QueryEngine` and redraws a compact
 dashboard between batches: throughput, queue depth, worker
-utilization, scan-cache and CSE economics, and the p50/p95/p99 query
-cycle quantiles the :class:`~repro.telemetry.registry.Histogram`
-reservoir now estimates.  With ``--metrics-out`` every frame is also
+utilization, scan-cache, result-cache and CSE economics, and the
+p50/p95/p99 query cycle quantiles the
+:class:`~repro.telemetry.registry.Histogram` reservoir now estimates.  With ``--metrics-out`` every frame is also
 flushed as a JSONL snapshot (:class:`~repro.telemetry.export.
 JsonlExporter`) so a soak run leaves a machine-readable trail.
 
@@ -52,6 +52,13 @@ def render_dashboard(snapshot, frame=0, elapsed=0.0, workers=1):
                           get("db.engine.scan_cache.misses", 0)) * 100,
                     get("db.engine.scan_cache.hits", 0),
                     get("db.engine.scan_cache.misses", 0)))
+    lines.append("  result cache     %11.1f%%    (%d hits, %d misses, "
+                 "%d evicted)"
+                 % (_rate(get("db.engine.result_cache.hits", 0),
+                          get("db.engine.result_cache.misses", 0)) * 100,
+                    get("db.engine.result_cache.hits", 0),
+                    get("db.engine.result_cache.misses", 0),
+                    get("db.engine.result_cache.evictions", 0)))
     lines.append("  cse reuse        %12d    cycles saved %d"
                  % (get("db.engine.cse.hits", 0),
                     get("db.engine.cycles_saved", 0)))
@@ -88,12 +95,15 @@ def render_dashboard(snapshot, frame=0, elapsed=0.0, workers=1):
             prefix = "db.shard.%s." % shard
             lines.append(
                 "    shard %-4s cycles %-9d rows %-7d held %-6d "
-                "queue %-3d skipped %d"
+                "queue %-3d skipped %-5d result cache %.1f%%"
                 % (shard, get(prefix + "cycles", 0),
                    get(prefix + "rows", 0),
                    get(prefix + "rows_held", 0),
                    get(prefix + "queue_depth", 0),
-                   get(prefix + "skipped", 0)))
+                   get(prefix + "skipped", 0),
+                   _rate(get(prefix + "engine.result_cache.hits", 0),
+                         get(prefix + "engine.result_cache.misses", 0))
+                   * 100))
     return "\n".join(lines)
 
 

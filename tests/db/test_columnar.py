@@ -313,6 +313,30 @@ class TestScanCacheUnderDeltas:
         assert engine.metrics_snapshot()["db.engine.scan_cache.hits"] \
             == hits_before + 1
 
+    def test_untouched_combinators_survive(self, eis_2lsu_partial):
+        """A delta drops exactly the combinator entries above a leaf it
+        touched; the survivors hit and replay their cycles."""
+        table = indexed(ColumnarTable("t", {
+            "status": [0, 1, 2, 3], "region": [0, 1, 2, 3],
+            "price": [10, 20, 30, 40]}))
+        engine = QueryEngine(processor=eis_2lsu_partial)
+        hot = Query(table, Eq("status", 0) | Eq("region", 1))
+        cold = Query(table, Eq("status", 3) & Range("price", 35, 45))
+        first = engine.execute_batch([hot, cold])
+        outcome = engine.apply_delta(table, DeltaBatch(
+            inserts={"status": [0], "region": [5], "price": [50]}))
+        assert outcome["invalidated"] == 2  # status = 0 and the union
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["db.engine.scan_cache.invalidated"] == 1
+        assert snapshot["db.engine.result_cache.invalidated"] == 1
+        results = engine.execute_batch([hot, cold])
+        assert results[0].rids == [0, 1, 4]
+        assert results[1].rids == [3]
+        assert results[1].stats.to_dict() == first[1].stats.to_dict()
+        after = engine.metrics_snapshot()
+        assert after["db.engine.result_cache.hits"] == 1
+        assert after["db.engine.result_cache.misses"] == 3
+
     def test_row_table_is_not_delta_capable(self, eis_2lsu_partial):
         table = indexed(Table("t", make_columns(10, 2)))
         engine = QueryEngine(processor=eis_2lsu_partial)
@@ -380,7 +404,7 @@ class TestShardedDeltas:
                                partition_column=column)
         queries = [Query(table, shape) for shape in SHAPES]
         for spec in specs[:6]:
-            engine.execute_batch(queries)  # warm the shard caches
+            engine.execute_batch(queries)  # warm the result caches
             engine.apply_delta(table, DeltaBatch.from_spec(spec))
             results = engine.execute_batch(queries)
             expected = QueryEngine(
@@ -389,8 +413,8 @@ class TestShardedDeltas:
                 == [r.rids for r in expected]
         snapshot = engine.metrics_snapshot()
         assert snapshot["db.shard.deltas"] == 6
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(3))
+        hits = sum(snapshot["db.shard.%d.engine.result_cache.hits"
+                            % position] for position in range(3))
         assert hits > 0
 
     def test_shard_tables_share_global_rid_space(self, delta_stream):
@@ -433,6 +457,103 @@ class TestDeltaHelpers:
                                       touched)
         assert signature_affected(
             signature(Eq("status", 1) | Eq("status", 2)), touched)
+
+
+    def test_signature_affected_matches_isin_reference(self):
+        """Binary search over the sorted footprint answers exactly what
+        the per-leaf ``np.isin`` scan it replaced answered, with and
+        without a memo shared across one invalidation pass."""
+        def reference(sig, touched):
+            kind = sig[0]
+            if kind in ("intersection", "union", "difference"):
+                return reference(sig[1], touched) \
+                    or reference(sig[2], touched)
+            values = touched.get(sig[1])
+            if values is None or not values.size:
+                return False
+            if kind == "eq":
+                return bool(np.isin(sig[2], values))
+            if kind == "range":
+                mask = np.ones(values.size, dtype=bool)
+                if sig[2] is not None:
+                    mask &= values >= sig[2]
+                if sig[3] is not None:
+                    mask &= values <= sig[3]
+                return bool(mask.any())
+            return bool(np.isin(np.asarray(list(sig[2]),
+                                           dtype=np.int64),
+                                values).any())
+
+        rng = random.Random(23)
+
+        def value():
+            # mostly in the 0..99 domain, sometimes far outside it
+            return rng.choice((rng.randrange(100), rng.randrange(100),
+                               -rng.randrange(1, 50),
+                               100 + rng.randrange(1000)))
+
+        def leaf():
+            column = rng.choice(("a", "b", "c"))
+            kind = rng.randrange(3)
+            if kind == 0:
+                return Eq(column, value())
+            if kind == 1:
+                low = None if rng.random() < 0.2 else value()
+                high = None if rng.random() < 0.2 else value()
+                return Range(column, low, high)
+            return In(column, tuple(value() for _ in
+                                    range(rng.randrange(4))))
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return leaf()
+            left, right = tree(depth - 1), tree(depth - 1)
+            return rng.choice((left & right, left | right,
+                               left - right))
+
+        def footprint():
+            shape = rng.randrange(4)
+            if shape == 0:
+                sizes = {"a": 0, "b": 0}
+            elif shape == 1:
+                sizes = {"a": 1, "c": 1}
+            else:
+                sizes = {column: rng.randrange(1, 40)
+                         for column in ("a", "b", "c")}
+            touched = {}
+            for column, size in sizes.items():
+                if shape == 3:  # entirely outside the predicate domain
+                    raw = [rng.choice((-500 - rng.randrange(100),
+                                       5000 + rng.randrange(100)))
+                           for _ in range(size)]
+                else:
+                    raw = [value() for _ in range(size)]
+                touched[column] = np.unique(np.asarray(raw,
+                                                       dtype=np.int64))
+            return touched
+
+        # probes on, inside and just past the ends of the footprint
+        ends = {"a": np.asarray([3, 7, 11], dtype=np.int64)}
+        for leaf_predicate in (Eq("a", 11), Eq("a", 3), Eq("a", 12),
+                               In("a", (12, 11)), In("a", (3,)),
+                               In("a", (2, 12)), Range("a", 11, 11),
+                               Range("a", None, 3), Range("a", 12, None),
+                               Range("a", 8, 10), Range("a", 2, 2)):
+            sig = signature(leaf_predicate)
+            assert signature_affected(sig, ends) == reference(sig, ends)
+
+        signatures = [signature(tree(3)) for _ in range(300)]
+        checked = 0
+        for _pass in range(40):
+            touched = footprint()
+            memo = {}
+            for sig in signatures:
+                expected = reference(sig, touched)
+                assert signature_affected(sig, touched) == expected, sig
+                assert signature_affected(sig, touched, memo) \
+                    == expected, sig
+                checked += expected
+        assert 0 < checked < 40 * len(signatures)
 
 
 def plain(outcome):

@@ -103,9 +103,10 @@ class TestEngine:
         assert 999999 not in second.rids
 
     def test_cached_arrays_are_read_only(self, eis_2lsu_partial, table):
-        """The scan cache and CSE hand one RID array to every later hit:
-        serving a cached scan twice under descending ORDER BY + LIMIT
-        leaves it intact, and writing into a cached array raises."""
+        """The result cache and CSE hand one RID array to every later
+        hit: serving a cached scan twice under descending ORDER BY +
+        LIMIT leaves it intact, and writing into a cached array
+        raises."""
         from repro.db import ColumnarTable
         columnar = ColumnarTable("orders", {
             name: table.column(name)
@@ -127,9 +128,10 @@ class TestEngine:
         cse = {}
         engine.evaluate_predicate(
             columnar, Eq("region", 2) & Range("price", 0, 500), cse=cse)
-        cached = list(engine._scan_cache.values()) \
+        # two leaves and their intersection, and the intersection's CSE
+        cached = [rids for rids, _cost in engine._cache.values()] \
             + [rids for rids, _cycles in cse.values()]
-        assert len(cached) == 3
+        assert len(cached) == 4
         for rids in cached:
             assert len(rids)
             with pytest.raises(ValueError):
@@ -227,6 +229,88 @@ class TestEngine:
         assert snapshot["db.engine.queries"] == 2
         assert snapshot["db.engine.batches"] == 1
         assert snapshot["db.engine.last_batch_qps"] > 0
+
+
+class TestResultCache:
+    """Cross-batch result cache: hits replay the cycles their set
+    operations cost, so a warm engine answers like a fresh one."""
+
+    A = Eq("status", 1)
+    B = Range("price", 50, 600)
+    C = Eq("region", 2)
+
+    def batch(self, table):
+        """A later query reuses an inner subtree of an earlier one."""
+        return [Query(table, (self.A & self.B) | self.C, order_by="price"),
+                Query(table, self.A & self.B, limit=9),
+                Query(table, (self.A & self.B) - In("region", (0, 4)))]
+
+    @staticmethod
+    def served(results):
+        return [(result.rids, result.stats.to_dict())
+                for result in results]
+
+    @pytest.mark.parametrize("cost_model", (True, False),
+                             ids=("costmodel", "iss"))
+    def test_warm_engine_matches_fresh(self, eis_2lsu_partial, table,
+                                       cost_model):
+        warm = make_engine(eis_2lsu_partial, cost_model=cost_model)
+        warm.execute_batch([Query(table, (self.A & self.B) | self.C),
+                            Query(table, (self.A & self.B)
+                                  - In("region", (0, 4)))])
+        before = warm.metrics_snapshot()
+        got = warm.execute_batch(self.batch(table))
+        after = warm.metrics_snapshot()
+        fresh = make_engine(eis_2lsu_partial, cost_model=cost_model)
+        want = fresh.execute_batch(self.batch(table))
+        assert self.served(got) == self.served(want)
+        expected = fresh.metrics_snapshot()
+        for name in ("db.engine.cycles_saved", "db.engine.cse.hits"):
+            assert after[name] - before[name] == expected[name] > 0
+        hits = after["db.engine.result_cache.hits"] \
+            - before["db.engine.result_cache.hits"]
+        assert hits == 3  # A & B, its union with C, its difference
+        assert after["db.engine.result_cache.misses"] \
+            == before["db.engine.result_cache.misses"]
+        assert expected["db.engine.result_cache.hits"] == 0
+
+    def test_tiny_budget_evicts_without_changing_answers(
+            self, monkeypatch, eis_2lsu_partial, table):
+        import repro.db.engine as engine_module
+        monkeypatch.setattr(engine_module, "RESULT_CACHE_BYTES", 2048)
+        want = self.served(make_engine(eis_2lsu_partial).execute_batch(
+            self.batch(table)))
+        engine = make_engine(eis_2lsu_partial)
+        for _round in range(2):
+            assert self.served(engine.execute_batch(self.batch(table))) \
+                == want
+            assert engine._cache_bytes <= 2048
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["db.engine.result_cache.evictions"] > 0
+
+    def test_traced_warm_batch_replays_modeled_spans(
+            self, eis_2lsu_partial, table):
+        from repro.telemetry.querytrace import QueryTracer
+
+        def modeled(tracer):
+            totals = {}
+            for _start, cycles, name, source, _args \
+                    in tracer.cycle_events:
+                totals[name, source] = totals.get((name, source), 0) \
+                    + cycles
+            return totals
+
+        engine = make_engine(eis_2lsu_partial)
+        cold, warm = QueryTracer(), QueryTracer()
+        engine.execute_batch(self.batch(table), tracer=cold)
+        engine.execute_batch(self.batch(table), tracer=warm)
+        assert modeled(warm) == modeled(cold)
+        assert any(name.startswith("set.") for name, _source
+                   in modeled(cold))
+        cached = [event for event in warm.wall_events
+                  if event[2].startswith("set.")]
+        assert cached and all(event[2].endswith(".cached")
+                              for event in cached)
 
 
 class TestWorkerMetricMerge:

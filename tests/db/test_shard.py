@@ -312,40 +312,68 @@ class TestPartitionedOrderBy:
         assert partitioned.rids == serial.rids
 
 
+def result_cache_counts(snapshot, shards, name):
+    """``db.shard.<i>.engine.result_cache.<name>`` summed over shards."""
+    return sum(snapshot.get("db.shard.%d.engine.result_cache.%s"
+                            % (position, name), 0)
+               for position in range(shards))
+
+
+def served(results):
+    """What a sharded batch answered and what it cost, per query."""
+    return [(result.rids, result.makespan_cycles, result.shard_cycles,
+             result.stats.to_dict()) for result in results]
+
+
 class TestShardCache:
-    """Cross-batch per-shard WHERE cache: hits, parity, chaos opt-out."""
+    """The shard engines' result caches across batches: hits, replayed
+    cycles, and no special case under fault injection."""
 
     def test_repeat_batch_hits_with_identical_results(self, table,
                                                       reference):
         engine = ShardedEngine(shards=3)
         queries = [Query(table, shape) for shape in TREE_SHAPES]
         first = engine.execute_batch(queries)
+        cold = engine.metrics_snapshot()
         second = engine.execute_batch(queries)
         expected = [rids for rids, _ in reference]
         assert [r.rids for r in first] == expected
         assert [r.rids for r in second] == expected
-        snapshot = engine.metrics_snapshot()
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(3))
-        misses = sum(snapshot["db.shard.%d.cache.misses" % position]
-                     for position in range(3))
-        assert hits > 0
-        assert misses > 0
+        warm = engine.metrics_snapshot()
+        assert result_cache_counts(cold, 3, "misses") > 0
+        assert result_cache_counts(warm, 3, "misses") \
+            == result_cache_counts(cold, 3, "misses")
+        assert result_cache_counts(warm, 3, "hits") \
+            > result_cache_counts(cold, 3, "hits")
+
+    @pytest.mark.parametrize("workers", (1, 2), ids=("inline", "pooled"))
+    def test_warm_batch_replays_cold_cycles(self, table, workers):
+        """A batch served twice costs the same modeled cycles both
+        times: hits replay what their set operations cost.  (Pooled
+        tasks are not pinned to a worker, so which host hits varies
+        from run to run; the cycles may not.)"""
+        engine = ShardedEngine(shards=3)
+        queries = [Query(table, shape) for shape in TREE_SHAPES]
+        try:
+            cold = served(engine.execute_batch(queries, workers=workers))
+            warm = served(engine.execute_batch(queries, workers=workers))
+        finally:
+            engine.shutdown()
+        assert warm == cold
 
     def test_clear_caches_forgets_entries(self, table):
         engine = ShardedEngine(shards=2)
-        query = Query(table, Eq("kind", 2))
+        query = Query(table, And(Eq("kind", 2), Range("score", 50, 400)))
         engine.execute(query)
         shards = list(engine.shards_for(table))
         engine.clear_caches()
         # answers are forgotten, the layout is not
         assert all(after is before for after, before
                    in zip(engine.shards_for(table), shards))
-        engine.execute(Query(table, Eq("kind", 2)))
+        engine.execute(query)
         snapshot = engine.metrics_snapshot()
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(2))
-        assert hits == 0
+        assert result_cache_counts(snapshot, 2, "hits") == 0
+        assert result_cache_counts(snapshot, 2, "misses") > 0
 
     def test_clear_caches_keeps_layout_after_deltas(self):
         """A range partition's frozen bounds survive the clear: fresh
@@ -386,20 +414,43 @@ class TestShardCache:
         assert [result.rids for result in engine.execute_batch(queries)] \
             == [result.rids for result in expected]
 
-    def test_cache_disabled_under_fault_injection(self, table):
-        from repro.faults.db import DbFaultInjector
+    def test_warm_batch_under_faults_matches_cleared(self, table):
+        """Faults strike at dispatch and delivery, after the cache:
+        serving a batch warm gives the answers, cycles and fault
+        counts of serving it after clear_caches()."""
+        from repro.faults.db import (DbFaultInjector, ResponseCorrupt,
+                                     ResponseDelay, WorkerKill)
         from repro.faults.plan import FaultPlan
-        engine = ShardedEngine(shards=3, strict=False,
-                               fault_injector=DbFaultInjector(
-                                   FaultPlan([])))
-        queries = [Query(table, shape) for shape in TREE_SHAPES[:3]]
-        first = engine.execute_batch(queries)
-        second = engine.execute_batch(queries)
-        assert [r.rids for r in first] == [r.rids for r in second]
-        snapshot = engine.metrics_snapshot()
-        for position in range(3):
-            assert snapshot["db.shard.%d.cache.hits" % position] == 0
-            assert snapshot["db.shard.%d.cache.misses" % position] == 0
+        queries = [Query(table, shape) for shape in TREE_SHAPES]
+
+        def rounds(clear):
+            plan = FaultPlan([
+                WorkerKill(host=1, at_query=2),
+                ResponseDelay(shard=0, query_index=6, extra_cycles=5000),
+                ResponseCorrupt(shard=2, query_index=7, mode="flip",
+                                element=3, bit=4),
+                ResponseCorrupt(shard=0, query_index=3, mode="drop",
+                                element=1, bit=0)])
+            engine = ShardedEngine(shards=3, replication=1, strict=False,
+                                   deadline_cycles=20000,
+                                   fault_injector=DbFaultInjector(plan))
+            answers = []
+            for batch in range(2):
+                if clear and batch:
+                    engine.clear_caches()
+                before = engine.metrics_snapshot()
+                results = engine.execute_batch(queries)
+                after = engine.metrics_snapshot()
+                answers.append((served(results), {
+                    name: after[name] - before.get(name, 0)
+                    for name in after if name.startswith("db.fault.")}))
+            return answers, engine.metrics_snapshot()
+
+        warm, warm_snapshot = rounds(clear=False)
+        cleared, _snapshot = rounds(clear=True)
+        assert warm == cleared
+        assert sum(warm[0][1].values()) > 0  # faults did fire
+        assert result_cache_counts(warm_snapshot, 3, "hits") > 0
 
 
 def columnar_table():
@@ -520,18 +571,18 @@ class TestResidentHosts:
                                              reference]
 
     def test_clear_caches_turns_resident_hosts_cold(self, table):
-        """Worker scan-cache economics reach the parent's registry and
+        """Worker cache economics reach the parent's registry and
         match an inline engine's; clear_caches() makes them cold."""
         queries = [Query(table, And(Eq("kind", 1), Range("score", 50, 400))),
                    Query(table, Or(Eq("kind", 1), Eq("zone", 3))),
                    Query(table, AndNot(Range("score", 50, 400),
                                        Eq("zone", 3)))]
         names = ["db.shard.0.engine.%s" % name for name in
-                 ("scan_cache.hits", "scan_cache.misses", "cse.hits")]
+                 ("scan_cache.hits", "scan_cache.misses", "cse.hits",
+                  "result_cache.hits", "result_cache.misses",
+                  "result_cache.evictions")]
 
         def rounds(engine, workers):
-            # The empty fault plan disarms the cross-batch shard cache,
-            # so every round reaches the shard engines.
             counts = []
             for clear in (False, False, True):
                 if clear:
@@ -543,20 +594,16 @@ class TestResidentHosts:
                                for name in names])
             return counts
 
-        def make():
-            from repro.faults.db import DbFaultInjector
-            from repro.faults.plan import FaultPlan
-            return ShardedEngine(shards=1, fault_injector=DbFaultInjector(
-                FaultPlan([])))
-
-        pooled = make()
+        pooled = ShardedEngine(shards=1)
         try:
             cold, warm, cleared = rounds(pooled, workers=2)
         finally:
             pooled.shutdown()
         assert cleared == cold
         assert warm[0] > cold[0]
-        assert [cold, warm, cleared] == rounds(make(), workers=1)
+        assert warm[3] > cold[3] == 0
+        assert [cold, warm, cleared] \
+            == rounds(ShardedEngine(shards=1), workers=1)
 
 
 class TestRouters:

@@ -14,6 +14,9 @@ class TestRenderDashboard:
             "db.engine.active_workers": 2,
             "db.engine.scan_cache.hits": 6,
             "db.engine.scan_cache.misses": 18,
+            "db.engine.result_cache.hits": 9,
+            "db.engine.result_cache.misses": 3,
+            "db.engine.result_cache.evictions": 2,
             "db.engine.cse.hits": 3,
             "db.engine.cycles_saved": 500,
             "db.engine.cycles_iss": 0,
@@ -34,6 +37,10 @@ class TestRenderDashboard:
         assert "queries served" in text and "64" in text
         assert "workers 2/2 (100%)" in text
         assert "25.0%" in text  # 6 hits / 24 lookups
+        scan = text.index("scan cache")
+        result = text.index("result cache")
+        assert scan < result
+        assert "75.0%    (9 hits, 3 misses, 2 evicted)" in text[result:]
         assert "p50 120" in text and "p99 600" in text
 
     def test_per_worker_rows_sorted(self):
